@@ -8,24 +8,27 @@ check), measures (Renyi/confidence tables).
 State designators: coherent:n=4 | phase:n=4 | squeezed:n=5 | noon:n=6 | hs:n=4 |
 random:n=4,seed=7 | glauber:nbar=10 | thermal:nbar=10 | tmsv:nbar=10.
 
-Exit codes: 0 success, 2 unparseable input, 3 non-finite Q on the grid, 1 failed
-doubled-grid stability in reproduce.  Verdict lines go to stdout, diagnostics to
-stderr; files are UTF-8.
+Exit codes: 0 success, 2 unparseable input or configuration, 3 non-finite Q on
+the grid, 1 failed doubled-grid stability in reproduce or an unwritable output
+file.  Any other error is a fault of polmaj and propagates with its traceback.  Verdict lines
+go to stdout, diagnostics to stderr; files are UTF-8.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .majorize import (DEFAULT_TOL, GLYPHS_ASCII, GLYPHS_UNICODE, Relation, Verdict,
-                       compare, lorenz, partial_order, render_chain)
+from .majorize import (DEFAULT_TOL, GLYPHS_ASCII, GLYPHS_UNICODE, PartialOrderResult,
+                       Relation, Verdict, partial_order, render_chain)
 from .measures import ALPHA_SWEEP, RENYI_Q_SWEEP, confidence_interval, renyi
-from .sphere_grid import EvaluationError, GridSpec, discretize_state, grid_directions
+from .sphere_grid import (DiscreteDistribution, EvaluationError, GridSpec, discretize_state,
+                          grid_directions)
 from .states import (make_analytic, make_coherent, make_hs_extremal, make_noon,
                      make_phase, make_squeezed, random_pure)
 
@@ -44,8 +47,8 @@ class RunConfig:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise StateSpecError(f"tol must be > 0, got {self.tol!r}")
+        if not 0.0 < self.tol < math.inf:
+            raise StateSpecError(f"tol must be finite and > 0, got {self.tol!r}")
         if self.fmt not in ("csv", "json"):
             raise StateSpecError(f"format must be csv or json, got {self.fmt!r}")
 
@@ -86,22 +89,14 @@ def _parse_kwargs(argstr: str) -> dict[str, str]:
     return out
 
 
-def _take_int(kwargs: dict[str, str], key: str, spec: str) -> int:
+def _take(kwargs: dict[str, str], key: str, spec: str, kind: type):
+    """Pop kwargs[key] converted by `kind` (int or float)."""
     if key not in kwargs:
-        raise StateSpecError(f"{spec!r} needs {key}=<int>")
+        raise StateSpecError(f"{spec!r} needs {key}=<{kind.__name__}>")
     try:
-        return int(kwargs.pop(key))
+        return kind(kwargs.pop(key))
     except ValueError as exc:
-        raise StateSpecError(f"{spec!r}: {key} must be an integer") from exc
-
-
-def _take_float(kwargs: dict[str, str], key: str, spec: str) -> float:
-    if key not in kwargs:
-        raise StateSpecError(f"{spec!r} needs {key}=<number>")
-    try:
-        return float(kwargs.pop(key))
-    except ValueError as exc:
-        raise StateSpecError(f"{spec!r}: {key} must be a number") from exc
+        raise StateSpecError(f"{spec!r}: {key} must be {kind.__name__}") from exc
 
 
 def parse_state_spec(text: str, default_seed: Optional[int] = None) -> ParsedState:
@@ -111,17 +106,17 @@ def parse_state_spec(text: str, default_seed: Optional[int] = None) -> ParsedSta
     kwargs = _parse_kwargs(argstr.strip())
     try:
         if family in _INT_FAMILIES:
-            n = _take_int(kwargs, "n", text)
+            n = _take(kwargs, "n", text, int)
             obj = _INT_FAMILIES[family](n)
             params = f"n={n}"
         elif family == "random":
-            n = _take_int(kwargs, "n", text)
-            seed = _take_int(kwargs, "seed", text) if "seed" in kwargs else (
+            n = _take(kwargs, "n", text, int)
+            seed = _take(kwargs, "seed", text, int) if "seed" in kwargs else (
                 default_seed if default_seed is not None else 0)
             obj = random_pure(n, seed)
             params = f"n={n},seed={seed}"
         elif family in ("glauber", "thermal", "tmsv"):
-            nbar = _take_float(kwargs, "nbar", text)
+            nbar = _take(kwargs, "nbar", text, float)
             obj = make_analytic(family, nbar)
             params = f"nbar={nbar:g}"
         else:
@@ -214,11 +209,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
         values.update(load_config_file(args.config))
-    for field, attr in (("n_theta", "n_theta"), ("n_phi", "n_phi"), ("tol", "tol"),
-                        ("fmt", "fmt"), ("out", "out"), ("seed", "seed")):
-        flag = getattr(args, attr, None)
+    for field in fields(RunConfig):
+        flag = getattr(args, field.name, None)
         if flag is not None:
-            values[field] = flag
+            values[field.name] = flag
     return RunConfig(**values)
 
 
@@ -241,9 +235,14 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _out_path(cfg: RunConfig, default_stem: str, ext: Optional[str] = None) -> Path:
-    ext = ext or cfg.fmt
-    return Path(cfg.out) if cfg.out else Path(f"{default_stem}.{ext}")
+def _write_lorenz_csv(path: Path, comments: list[str], result: PartialOrderResult) -> None:
+    """The k,S_k_<name>... table: one column per curve of `result`, headed by its name."""
+    rows = zip(range(1, result.curves[0].n + 1), *(c.s.tolist() for c in result.curves))
+    _write_csv(path, comments, ["k"] + [f"S_k_{name}" for name in result.names], rows)
+
+
+def _out_path(cfg: RunConfig, default_stem: str) -> Path:
+    return Path(cfg.out) if cfg.out else Path(f"{default_stem}.{cfg.fmt}")
 
 
 def _grid_dict(grid: GridSpec) -> dict:
@@ -277,32 +276,36 @@ def cmd_qdist(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+def _order(parsed: Sequence[ParsedState], labels: Sequence[str], grid: GridSpec,
+           tol: float) -> tuple[list[DiscreteDistribution], PartialOrderResult]:
+    """Discretize the states on `grid` and compare every pair of their curves."""
+    dists = [discretize_state(p.obj, grid) for p in parsed]
+    return dists, partial_order(list(zip(labels, dists)), tol)
+
+
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     parsed = [parse_state_spec(args.state_a, cfg.seed), parse_state_spec(args.state_b, cfg.seed)]
     labels = assign_labels(parsed, use_letter=False)
-    grid = cfg.grid
-    dists = [discretize_state(p.obj, grid) for p in parsed]
-    curves = [lorenz(d) for d in dists]
-    verdict = compare(curves[0], curves[1], cfg.tol)
+    dists, result = _order(parsed, labels, cfg.grid, cfg.tol)
+    verdict = result.matrix[0][1]
     print(verdict_line(verdict, labels[0], labels[1], _stdout_glyphs()))
     path = _out_path(cfg, "compare")
     if cfg.fmt == "csv":
-        rows = zip(range(1, grid.n_pixels + 1), curves[0].s.tolist(), curves[1].s.tolist())
-        _write_csv(path,
-                   [f"a={parsed[0].text}", f"b={parsed[1].text}",
-                    f"n_theta={grid.n_theta}", f"n_phi={grid.n_phi}", f"tol={cfg.tol!r}",
-                    f"verdict={verdict.relation.value}",
-                    f"raw_mass_a={dists[0].raw_mass!r}", f"raw_mass_b={dists[1].raw_mass!r}"],
-                   ["k", f"S_k_{labels[0]}", f"S_k_{labels[1]}"], rows)
+        _write_lorenz_csv(path,
+                          [f"a={parsed[0].text}", f"b={parsed[1].text}",
+                           f"n_theta={cfg.n_theta}", f"n_phi={cfg.n_phi}", f"tol={cfg.tol!r}",
+                           f"verdict={verdict.relation.value}",
+                           f"raw_mass_a={dists[0].raw_mass!r}", f"raw_mass_b={dists[1].raw_mass!r}"],
+                          result)
     else:
         _write_json(path, {
-            "command": "compare", "grid": _grid_dict(grid), "tol": cfg.tol,
+            "command": "compare", "grid": _grid_dict(cfg.grid), "tol": cfg.tol,
             "states": [{"spec": p.text, "label": lab, "raw_mass": d.raw_mass}
                        for p, lab, d in zip(parsed, labels, dists)],
             "verdict": {"relation": verdict.relation.value,
                         "witnesses": list(verdict.witnesses) if verdict.witnesses else None,
                         "line": verdict_line(verdict, labels[0], labels[1], GLYPHS_ASCII)},
-            "lorenz": {lab: c.s.tolist() for lab, c in zip(labels, curves)},
+            "lorenz": {lab: c.s.tolist() for lab, c in zip(labels, result.curves)},
         })
     _note(path)
     return 0
@@ -327,23 +330,18 @@ def cmd_chain(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise StateSpecError("chain needs at least two states")
     parsed = [parse_state_spec(s, cfg.seed) for s in args.states]
     labels = assign_labels(parsed, use_letter=True)
-    grid = cfg.grid
-    dists = [discretize_state(p.obj, grid) for p in parsed]
-    result = partial_order(list(zip(labels, dists)), cfg.tol)
-    ascii_out = _stdout_glyphs() is GLYPHS_ASCII
-    print(render_chain(result.layers, ascii_glyphs=ascii_out))
+    dists, result = _order(parsed, labels, cfg.grid, cfg.tol)
+    print(render_chain(result.layers, ascii_glyphs=_stdout_glyphs() is GLYPHS_ASCII))
     path = _out_path(cfg, "chain")
     if cfg.fmt == "csv":
-        curves = [lorenz(d) for d in dists]
-        rows = zip(range(1, grid.n_pixels + 1), *(c.s.tolist() for c in curves))
-        _write_csv(path,
-                   [f"states={' '.join(p.text for p in parsed)}",
-                    f"n_theta={grid.n_theta}", f"n_phi={grid.n_phi}", f"tol={cfg.tol!r}",
-                    f"chain={render_chain(result.layers, ascii_glyphs=True)}"],
-                   ["k"] + [f"S_k_{lab}" for lab in labels], rows)
+        _write_lorenz_csv(path,
+                          [f"states={' '.join(p.text for p in parsed)}",
+                           f"n_theta={cfg.n_theta}", f"n_phi={cfg.n_phi}", f"tol={cfg.tol!r}",
+                           f"chain={render_chain(result.layers, ascii_glyphs=True)}"],
+                          result)
     else:
         _write_json(path, {"command": "chain",
-                           **_chain_payload(result, parsed, labels, dists, grid, cfg.tol)})
+                           **_chain_payload(result, parsed, labels, dists, cfg.grid, cfg.tol)})
     _note(path)
     return 0
 
@@ -358,40 +356,37 @@ FIGURES = {
 }
 
 
+def _relations(result: PartialOrderResult) -> list[list[Relation]]:
+    return [[v.relation for v in row] for row in result.matrix]
+
+
 def cmd_reproduce(cfg: RunConfig, args: argparse.Namespace) -> int:
     specs = FIGURES[args.figure]
     parsed = [parse_state_spec(s, cfg.seed) for s in specs]
     labels = assign_labels(parsed, use_letter=True)
     grid = cfg.grid
-    dists = [discretize_state(p.obj, grid) for p in parsed]
-    result = partial_order(list(zip(labels, dists)), cfg.tol)
-    curves = [lorenz(d) for d in dists]
-
+    dists, result = _order(parsed, labels, grid, cfg.tol)
+    # only the relations of the doubled grid are kept; its distributions and
+    # curves are freed before any output is written
     doubled = GridSpec(2 * grid.n_theta, 2 * grid.n_phi)
-    dists2 = [discretize_state(p.obj, doubled) for p in parsed]
-    result2 = partial_order(list(zip(labels, dists2)), cfg.tol)
-    stable = all(v1.relation is v2.relation
-                 for row1, row2 in zip(result.matrix, result2.matrix)
-                 for v1, v2 in zip(row1, row2))
+    stable = _relations(result) == _relations(_order(parsed, labels, doubled, cfg.tol)[1])
 
     base = Path(cfg.out) if cfg.out else Path(f"reproduce_{args.figure}")
     if base.suffix in (".csv", ".json"):
         base = base.with_suffix("")
     csv_path = base.with_name(base.name + "_lorenz.csv")
     json_path = base.with_name(base.name + "_verdicts.json")
-    rows = zip(range(1, grid.n_pixels + 1), *(c.s.tolist() for c in curves))
-    _write_csv(csv_path,
-               [f"figure={args.figure}", f"states={' '.join(specs)}",
-                f"n_theta={grid.n_theta}", f"n_phi={grid.n_phi}", f"tol={cfg.tol!r}",
-                f"chain={render_chain(result.layers, ascii_glyphs=True)}"],
-               ["k"] + [f"S_k_{lab}" for lab in labels], rows)
+    _write_lorenz_csv(csv_path,
+                      [f"figure={args.figure}", f"states={' '.join(specs)}",
+                       f"n_theta={grid.n_theta}", f"n_phi={grid.n_phi}", f"tol={cfg.tol!r}",
+                       f"chain={render_chain(result.layers, ascii_glyphs=True)}"],
+                      result)
     payload = {"command": "reproduce", "figure": args.figure,
                **_chain_payload(result, parsed, labels, dists, grid, cfg.tol),
                "stability": {"grid_doubled": _grid_dict(doubled), "verdicts_unchanged": stable}}
     _write_json(json_path, payload)
 
-    ascii_out = _stdout_glyphs() is GLYPHS_ASCII
-    print(render_chain(result.layers, ascii_glyphs=ascii_out))
+    print(render_chain(result.layers, ascii_glyphs=_stdout_glyphs() is GLYPHS_ASCII))
     print(f"doubled-grid stability: {'PASS' if stable else 'FAIL'}")
     _note(csv_path)
     _note(json_path)
@@ -473,7 +468,7 @@ def main(argv=None) -> int:
     except EvaluationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (StateSpecError, ValueError) as exc:
+    except StateSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -82,13 +82,21 @@ class LorenzCurve:
         return self.s.size
 
 
-def lorenz(dist: DiscreteDistribution) -> LorenzCurve:
-    """Sort pixel probabilities in decreasing order and accumulate.
+def _descending_cumsum(p: np.ndarray) -> np.ndarray:
+    """Partial sums of p sorted in decreasing order, scaled so the last one is 1.
 
-    Ties are broken by original pixel index, so the output is deterministic.
+    The sorted values do not depend on how ties are broken.  Pinning the endpoint
+    removes the drift of a long sequential sum, which on a million pixels exceeds
+    the 1e-12 that LorenzCurve allows S_N.
     """
-    order = np.argsort(-dist.p, kind="stable")
-    return LorenzCurve(s=np.cumsum(dist.p[order]))
+    s = np.cumsum(np.sort(p)[::-1])
+    s /= s[-1]
+    return s
+
+
+def lorenz(dist: DiscreteDistribution) -> LorenzCurve:
+    """Sort pixel probabilities in decreasing order and accumulate."""
+    return LorenzCurve(s=_descending_cumsum(dist.p))
 
 
 def compare(a: LorenzCurve, b: LorenzCurve, tol: float = DEFAULT_TOL) -> Verdict:
@@ -101,8 +109,8 @@ def compare(a: LorenzCurve, b: LorenzCurve, tol: float = DEFAULT_TOL) -> Verdict
     """
     if a.n != b.n:
         raise ValueError(f"curve length mismatch: {a.n} vs {b.n} (distributions must share a grid)")
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     d = a.s - b.s
     up = float(d.max())
     dn = float(d.min())
@@ -140,6 +148,7 @@ class PartialOrderResult:
     """Pairwise verdicts plus a layered chain rendering of the partial order.
 
     matrix[i][j] relates item i to item j (Majorizes meaning i majorizes j).
+    `curves` holds the Lorenz curves the verdicts were read from, in item order.
     `violations` lists any transitivity or consistency defects found; an empty
     list means the verdicts form a clean layered order.
     """
@@ -149,6 +158,7 @@ class PartialOrderResult:
     layers: tuple[tuple[tuple[str, ...], ...], ...]
     chain: str
     violations: tuple[str, ...]
+    curves: tuple[LorenzCurve, ...]
 
     def verdict(self, name_a: str, name_b: str) -> Verdict:
         return self.matrix[self.names.index(name_a)][self.names.index(name_b)]
@@ -262,6 +272,7 @@ def partial_order(items: Sequence[tuple[str, DiscreteDistribution]],
         layers=result_layers,
         chain=render_chain(result_layers),
         violations=tuple(violations),
+        curves=tuple(curves),
     )
 
 

@@ -8,8 +8,8 @@ never larger, for every alpha and every q > 0.  Entropies are in nats.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import xlogy
 
+from .majorize import _descending_cumsum
 from .sphere_grid import DiscreteDistribution
 
 # standard sweeps used by the consistency checks and the CLI tables
@@ -21,8 +21,8 @@ def confidence_interval(dist: DiscreteDistribution, alpha: float) -> int:
     """Smallest pixel count K whose largest-K probabilities reach total alpha."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"confidence level must lie in (0, 1], got {alpha!r}")
-    s = np.cumsum(np.sort(dist.p)[::-1])
-    s /= s[-1]  # pin the endpoint so alpha = 1 resolves to the support size
+    # the pinned endpoint makes alpha = 1 resolve to the support size
+    s = _descending_cumsum(dist.p)
     return int(np.searchsorted(s, alpha, side="left")) + 1
 
 
@@ -33,7 +33,7 @@ def renyi(dist: DiscreteDistribution, q: float) -> float:
     """
     if q <= 0.0:
         raise ValueError(f"entropy index must be > 0, got {q!r}")
-    p = dist.p
+    p = dist.p[dist.p > 0.0]
     if q == 1.0:
-        return float(-xlogy(p, p).sum())
-    return float(np.log(np.sum(p[p > 0.0] ** q)) / (1.0 - q))
+        return float(-np.sum(p * np.log(p)))
+    return float(np.log(np.sum(p ** q)) / (1.0 - q))

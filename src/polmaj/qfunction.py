@@ -11,10 +11,10 @@ All evaluators broadcast over theta/phi arrays.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .states import AnalyticQFamily, MixedState, PureFockState
 
@@ -38,8 +38,25 @@ def _check_theta(theta: np.ndarray) -> None:
         raise ValueError("theta must lie in [0, pi]")
 
 
-def _ln_binom(n: int, m: np.ndarray) -> np.ndarray:
-    return gammaln(n + 1.0) - gammaln(m + 1.0) - gammaln(n - m + 1.0)
+def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x log y, with 0 where x = 0 (also at y = 0) and -inf where only y = 0."""
+    with np.errstate(divide="ignore"):
+        return x * np.log(np.where(x == 0, 1.0, y))
+
+
+def _coefficients(state: PureFockState, theta: np.ndarray) -> np.ndarray:
+    """c_m sqrt(C(n,m)) sin^(n-m)(t/2) cos^m(t/2), shape theta.shape + (n+1,).
+
+    Evaluated in logs so that large n neither overflows the binomial nor
+    underflows the powers before they meet.
+    """
+    n = state.n
+    m = np.arange(n + 1)
+    ln_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    ln_binom = ln_fact[n] - ln_fact - ln_fact[::-1]
+    sh = np.sin(theta / 2.0)[..., None]
+    ch = np.cos(theta / 2.0)[..., None]
+    return np.exp(0.5 * ln_binom + _xlogy(n - m, sh) + _xlogy(m, ch)) * state.amps
 
 
 def _scalarize(x: np.ndarray):
@@ -52,12 +69,8 @@ def su2_overlap(n: int, omega: Direction, state: PureFockState):
         raise ValueError(f"photon-number mismatch: coherent state n={n}, state n={state.n}")
     theta, phi = np.broadcast_arrays(np.asarray(omega.theta, float), np.asarray(omega.phi, float))
     _check_theta(theta)
-    m = np.arange(n + 1)
-    sh = np.sin(theta / 2.0)[..., None]
-    ch = np.cos(theta / 2.0)[..., None]
-    logmag = 0.5 * _ln_binom(n, m) + xlogy(n - m, sh) + xlogy(m, ch)
-    terms = np.exp(logmag) * np.exp(1j * m * phi[..., None]) * state.amps
-    return _scalarize(terms.sum(axis=-1))
+    phases = np.exp(1j * np.arange(n + 1) * phi[..., None])
+    return _scalarize((_coefficients(state, theta) * phases).sum(axis=-1))
 
 
 def q_pure(state: PureFockState, omega: Direction):
@@ -113,15 +126,9 @@ def q_on_grid(obj: PolState, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray
     phis = np.asarray(phis, float)
     _check_theta(thetas)
     if isinstance(obj, PureFockState):
-        n = obj.n
-        m = np.arange(n + 1)
-        sh = np.sin(thetas / 2.0)[:, None]
-        ch = np.cos(thetas / 2.0)[:, None]
-        logmag = 0.5 * _ln_binom(n, m) + xlogy(n - m, sh) + xlogy(m, ch)
-        coeff = np.exp(logmag) * obj.amps          # (T, n+1)
-        phases = np.exp(1j * np.outer(m, phis))    # (n+1, P)
-        amp = coeff @ phases
-        return (n + 1) / (4.0 * np.pi) * np.abs(amp) ** 2
+        coeff = _coefficients(obj, thetas)                          # (T, n+1)
+        phases = np.exp(1j * np.outer(np.arange(obj.n + 1), phis))  # (n+1, P)
+        return (obj.n + 1) / (4.0 * np.pi) * np.abs(coeff @ phases) ** 2
     if isinstance(obj, MixedState):
         return sum(w * q_on_grid(s, thetas, phis) for w, s in obj.components)
     if isinstance(obj, AnalyticQFamily):

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polmaj
 from polmaj import EvaluationError, Relation, Verdict
 from polmaj.cli import (GLYPHS_ASCII, GLYPHS_UNICODE, RunConfig, StateSpecError,
                         assign_labels, build_config, load_config_file, main,
@@ -136,8 +141,22 @@ class TestConfig:
         assert len(rows) == 20 * 50
 
     def test_bad_tol_rejected(self):
-        with pytest.raises(StateSpecError):
-            RunConfig(tol=0.0)
+        for tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(StateSpecError):
+                RunConfig(tol=tol)
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_flag_exits_2(self, tol, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["compare", "coherent:n=2", "phase:n=2", *SMALL, "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tol must be finite" in captured.err
+
+    def test_non_finite_tol_config_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg").write_text("tol=nan\n")
+        assert main(["compare", "coherent:n=2", "phase:n=2", *SMALL, "--config", "cfg"]) == 2
 
 
 class TestQdist:
@@ -177,6 +196,17 @@ class TestQdist:
         monkeypatch.setattr(climod, "discretize_state", explode)
         assert main(["qdist", "coherent:n=2", *SMALL]) == 3
         assert "non-finite" in capsys.readouterr().err
+
+    def test_internal_value_error_propagates(self, tmp_path, monkeypatch):
+        # only a StateSpecError means bad input; any other ValueError is a fault
+        def fail(obj, spec):
+            raise ValueError("internal fault")
+
+        import polmaj.cli as climod
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(climod, "discretize_state", fail)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["qdist", "coherent:n=2", *SMALL])
 
     def test_deterministic_bytes(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -221,6 +251,13 @@ class TestCompareCmd:
         assert len(rows) == 100 * 100
         assert float(rows[-1][1]) == pytest.approx(1.0, abs=1e-12)
         assert any(c.startswith("verdict=") for c in comments)
+
+    def test_fine_grid_curves_end_at_one(self, tmp_path, monkeypatch):
+        # a million pixels: the Lorenz endpoint must not drift past 1e-12
+        monkeypatch.chdir(tmp_path)
+        rc = main(["compare", "squeezed:n=4", "coherent:n=4", "--n-theta", "1000",
+                   "--n-phi", "1000"])
+        assert rc == 0
 
     def test_json_payload(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -281,6 +318,28 @@ class TestReproduceCmd:
         k_a, k_b = verdict["witnesses"]
         assert 1 <= k_a <= 10000 and 1 <= k_b <= 10000 and k_a != k_b
 
+    def test_one_curve_per_distribution(self, tmp_path, monkeypatch):
+        import polmaj.majorize as majmod
+        import polmaj.sphere_grid as gridmod
+        calls = {"lorenz": 0, "discretize_state": 0}
+
+        def counted(fn):
+            def wrapper(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+            return wrapper
+
+        # every polmaj module that bound either function calls the counted one
+        for fn in (majmod.lorenz, gridmod.discretize_state):
+            wrapper = counted(fn)
+            for name, mod in list(sys.modules.items()):
+                if name.startswith("polmaj") and getattr(mod, fn.__name__, None) is fn:
+                    monkeypatch.setattr(mod, fn.__name__, wrapper)
+        monkeypatch.chdir(tmp_path)
+        assert main(["reproduce", "fig5", "--n-theta", "40", "--n-phi", "40"]) == 0
+        assert calls["discretize_state"] == 10      # five states on two grids
+        assert calls["lorenz"] == calls["discretize_state"]
+
     def test_unknown_figure_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["reproduce", "fig99"])
@@ -325,3 +384,12 @@ class TestStdoutGlyphs:
         rc = main(["compare", "coherent:n=2", "phase:n=2", "--n-theta", "60", "--n-phi", "60"])
         assert rc == 0
         assert fake.getvalue().strip() == "phase < coherent"
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(polmaj.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, polmaj, polmaj.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polmaj import (DiscreteDistribution, LorenzCurve, Relation, compare, lorenz,
-                    partial_order, permutation_mix, render_chain, t_transform)
+from polmaj import (DiscreteDistribution, GridSpec, LorenzCurve, Relation, compare,
+                    discretize_state, lorenz, make_analytic, partial_order, permutation_mix,
+                    render_chain, t_transform)
 
 
 def dist(*values):
@@ -36,9 +37,14 @@ class TestLorenz:
                            np.arange(1, n + 1) / n)
 
     def test_deterministic_tie_breaking(self):
-        # equal values keep original pixel order; curve is unaffected but defined
+        # the curve of tied values does not depend on the order they are summed in
         d = dist(0.25, 0.25, 0.25, 0.25)
         assert np.array_equal(lorenz(d).s, np.cumsum(d.p))
+
+    def test_endpoint_exact_on_fine_grid(self):
+        # a sequential sum over 1.44M pixels drifts past LorenzCurve's 1e-12 check
+        d = discretize_state(make_analytic("glauber", 10.0), GridSpec(1200, 1200))
+        assert lorenz(d).s[-1] == 1.0
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):
@@ -64,6 +70,12 @@ class TestCompare:
         v = compare(a, b, tol=1e-12)
         assert v.relation is Relation.INCOMPARABLE
         assert v.witnesses == (1, 2)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
+    def test_rejects_bad_tol(self, tol):
+        c = curve_of(0.4, 0.35, 0.25)
+        with pytest.raises(ValueError, match="tol"):
+            compare(c, c, tol=tol)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -215,6 +227,11 @@ class TestPartialOrder:
         # x and y are permutations: identical curves; z is incomparable-free here:
         # its curve (0.4, 0.8, 1.0) is majorized by (0.5, 0.8, 1.0)
         assert res.chain == "z ≺ x≡y"
+
+    def test_curves_in_item_order(self):
+        items = [("x", dist(0.6, 0.2, 0.2)), ("y", dist(0.1, 0.5, 0.4))]
+        res = partial_order(items)
+        assert [c.s.tolist() for c in res.curves] == [lorenz(d).s.tolist() for _, d in items]
 
     def test_render_chain_ascii(self):
         layers = ((("H",),), (("S",), ("N",)), (("P", "C"),))
