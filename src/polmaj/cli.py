@@ -167,6 +167,14 @@ def verdict_line(verdict: Verdict, label_a: str, label_b: str, glyphs: dict[str,
     return f"{label_a} {glyphs['join']} {label_b}"
 
 
+def _integer(val) -> int:
+    """int(val), refusing the non-integral and non-finite numbers int() would
+    truncate (40.7) or overflow on (1e400 reads as inf)."""
+    if isinstance(val, float) and not val.is_integer():
+        raise ValueError(f"{val!r} is not an integer")
+    return int(val)
+
+
 def load_config_file(path: str) -> dict:
     """Read a key=value or JSON config file mirroring RunConfig fields."""
     try:
@@ -191,8 +199,8 @@ def load_config_file(path: str) -> dict:
             if not sep:
                 raise StateSpecError(f"config file {path}:{lineno}: expected key=value")
             raw[key.strip()] = val.strip()
-    converters = {"n_theta": int, "n_phi": int, "tol": float, "format": str,
-                  "out": str, "seed": int}
+    converters = {"n_theta": _integer, "n_phi": _integer, "tol": float, "format": str,
+                  "out": str, "seed": _integer}
     cfg: dict = {}
     for key, val in raw.items():
         if key not in converters:

@@ -64,7 +64,9 @@ class LorenzCurve:
     s: np.ndarray
 
     def __post_init__(self):
-        s = np.array(self.s, dtype=float)
+        s = np.asarray(self.s, dtype=float)
+        if s.flags.writeable or not s.flags.owndata:  # share only what no one can write
+            s = s.copy()
         if s.ndim != 1 or s.size < 1:
             raise ValueError("S_k must be a nonempty 1-d array")
         inc = np.diff(np.concatenate(([0.0], s)))
@@ -82,21 +84,9 @@ class LorenzCurve:
         return self.s.size
 
 
-def _descending_cumsum(p: np.ndarray) -> np.ndarray:
-    """Partial sums of p sorted in decreasing order, scaled so the last one is 1.
-
-    The sorted values do not depend on how ties are broken.  Pinning the endpoint
-    removes the drift of a long sequential sum, which on a million pixels exceeds
-    the 1e-12 that LorenzCurve allows S_N.
-    """
-    s = np.cumsum(np.sort(p)[::-1])
-    s /= s[-1]
-    return s
-
-
 def lorenz(dist: DiscreteDistribution) -> LorenzCurve:
-    """Sort pixel probabilities in decreasing order and accumulate."""
-    return LorenzCurve(s=_descending_cumsum(dist.p))
+    """The curve of dist, sharing its cached partial sums: each distribution sorts once."""
+    return LorenzCurve(s=dist.descending_cumsum)
 
 
 def compare(a: LorenzCurve, b: LorenzCurve, tol: float = DEFAULT_TOL) -> Verdict:

@@ -7,9 +7,10 @@ never larger, for every alpha and every q > 0.  Entropies are in nats.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .majorize import _descending_cumsum
 from .sphere_grid import DiscreteDistribution
 
 # standard sweeps used by the consistency checks and the CLI tables
@@ -22,18 +23,31 @@ def confidence_interval(dist: DiscreteDistribution, alpha: float) -> int:
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"confidence level must lie in (0, 1], got {alpha!r}")
     # the pinned endpoint makes alpha = 1 resolve to the support size
-    s = _descending_cumsum(dist.p)
-    return int(np.searchsorted(s, alpha, side="left")) + 1
+    return int(np.searchsorted(dist.descending_cumsum, alpha, side="left")) + 1
 
 
 def renyi(dist: DiscreteDistribution, q: float) -> float:
-    """Renyi entropy R_q = ln(sum p^q)/(1-q); Shannon entropy at q = 1.
+    """Renyi entropy R_q = ln(sum p^q)/(1-q) for q in (0, inf]: the Shannon
+    entropy at q = 1 and the min-entropy -ln p_max at q = inf.
 
+    Written against p_max, R_q = q/(1-q) ln p_max + ln(sum (p/p_max)^q)/(1-q):
+    no power underflows at large q, and q ln p_max cannot overflow.  Near the
+    Shannon point the two terms cancel, so for |q - 1| < 1/2 the sum is taken as
+    R_q = -ln p_max - log1p(sum p expm1((q-1) ln(p/p_max)))/(q-1), which stays
+    accurate as q -> 1.
     Zero-probability pixels contribute nothing for every q.
     """
-    if q <= 0.0:
+    if not q > 0.0:
         raise ValueError(f"entropy index must be > 0, got {q!r}")
     p = dist.p[dist.p > 0.0]
     if q == 1.0:
         return float(-np.sum(p * np.log(p)))
-    return float(np.log(np.sum(p ** q)) / (1.0 - q))
+    p_max = float(p.max())
+    if q == math.inf:
+        return -math.log(p_max)
+    t = q - 1.0
+    x = p / p_max
+    if abs(t) < 0.5:
+        return -math.log(p_max) - math.log1p(float(np.sum(p * np.expm1(t * np.log(x))))) / t
+    x **= q  # in place: a fine grid makes every N-sized temporary count
+    return q / (1.0 - q) * math.log(p_max) + math.log(float(np.sum(x))) / (1.0 - q)

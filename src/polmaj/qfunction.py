@@ -44,19 +44,19 @@ def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return x * np.log(np.where(x == 0, 1.0, y))
 
 
-def _coefficients(state: PureFockState, theta: np.ndarray) -> np.ndarray:
-    """c_m sqrt(C(n,m)) sin^(n-m)(t/2) cos^m(t/2), shape theta.shape + (n+1,).
-
+def _coefficients(state: PureFockState, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices m of the nonzero c_m, which alone add to any sum over m, and
+    c_m sqrt(C(n,m)) sin^(n-m)(t/2) cos^m(t/2) for them, shape theta.shape + (len(m),).
     Evaluated in logs so that large n neither overflows the binomial nor
     underflows the powers before they meet.
     """
     n = state.n
-    m = np.arange(n + 1)
-    ln_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
-    ln_binom = ln_fact[n] - ln_fact - ln_fact[::-1]
+    m = np.flatnonzero(state.amps)
+    ln_binom = np.array([math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
+                         for k in m.tolist()])
     sh = np.sin(theta / 2.0)[..., None]
     ch = np.cos(theta / 2.0)[..., None]
-    return np.exp(0.5 * ln_binom + _xlogy(n - m, sh) + _xlogy(m, ch)) * state.amps
+    return m, np.exp(0.5 * ln_binom + _xlogy(n - m, sh) + _xlogy(m, ch)) * state.amps[m]
 
 
 def _scalarize(x: np.ndarray):
@@ -69,8 +69,8 @@ def su2_overlap(n: int, omega: Direction, state: PureFockState):
         raise ValueError(f"photon-number mismatch: coherent state n={n}, state n={state.n}")
     theta, phi = np.broadcast_arrays(np.asarray(omega.theta, float), np.asarray(omega.phi, float))
     _check_theta(theta)
-    phases = np.exp(1j * np.arange(n + 1) * phi[..., None])
-    return _scalarize((_coefficients(state, theta) * phases).sum(axis=-1))
+    m, coeff = _coefficients(state, theta)
+    return _scalarize((coeff * np.exp(1j * m * phi[..., None])).sum(axis=-1))
 
 
 def q_pure(state: PureFockState, omega: Direction):
@@ -126,8 +126,8 @@ def q_on_grid(obj: PolState, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray
     phis = np.asarray(phis, float)
     _check_theta(thetas)
     if isinstance(obj, PureFockState):
-        coeff = _coefficients(obj, thetas)                          # (T, n+1)
-        phases = np.exp(1j * np.outer(np.arange(obj.n + 1), phis))  # (n+1, P)
+        m, coeff = _coefficients(obj, thetas)        # (T, M) over the M nonzero amplitudes
+        phases = np.exp(1j * np.outer(m, phis))      # (M, P)
         return (obj.n + 1) / (4.0 * np.pi) * np.abs(coeff @ phases) ** 2
     if isinstance(obj, MixedState):
         return sum(w * q_on_grid(s, thetas, phis) for w, s in obj.components)

@@ -8,7 +8,8 @@ phi_k = 2 pi k / n_phi - pi, k = 1..n_phi, flattened as j = n_phi (l-1) + k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -81,6 +82,15 @@ class DiscreteDistribution:
     @property
     def n_pixels(self) -> int:
         return self.p.size
+
+    @cached_property
+    def descending_cumsum(self) -> np.ndarray:
+        """S_k: p sorted in decreasing order and accumulated, read-only, with S_N pinned
+        to 1 against the drift of a long sum.  Sorted once, on first use."""
+        s = np.cumsum(np.sort(self.p)[::-1])
+        s /= s[-1]
+        s.flags.writeable = False
+        return s
 
 
 def band_thetas(spec: GridSpec) -> np.ndarray:

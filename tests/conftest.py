@@ -9,17 +9,17 @@ DOUBLED_GRID = GridSpec(800, 800)
 
 
 class DistCache:
-    """Session-wide memo of discretized distributions and Lorenz curves.
+    """Session-wide memo of discretized distributions.
 
     Keys are CLI state designators ("coherent:n=2", "thermal:nbar=10", ...), so
     every test module talks about states the same way.  Only the default grid is
     cached; other grids are computed on demand and returned uncached to keep the
-    footprint bounded.
+    footprint bounded.  A cached distribution sorts itself once, so its curve
+    costs only LorenzCurve's validation.
     """
 
     def __init__(self):
         self._dists = {}
-        self._curves = {}
 
     def state(self, spec):
         return parse_state_spec(spec).obj
@@ -33,12 +33,7 @@ class DistCache:
         return self._dists[key]
 
     def curve(self, spec, grid=DEFAULT_GRID):
-        key = (spec, grid)
-        if grid is not DEFAULT_GRID:
-            return lorenz(self.dist(spec, grid))
-        if key not in self._curves:
-            self._curves[key] = lorenz(self.dist(spec, grid))
-        return self._curves[key]
+        return lorenz(self.dist(spec, grid))
 
 
 @pytest.fixture(scope="session")

@@ -153,6 +153,20 @@ class TestConfig:
         assert captured.out == ""
         assert "tol must be finite" in captured.err
 
+    @pytest.mark.parametrize("key", ["n_theta", "n_phi", "seed"])
+    def test_overflowing_config_number_exits_2(self, key, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(f'{{"{key}": 1e400}}')     # JSON reads inf
+        assert main(["qdist", "coherent:n=1", "--config", "cfg.json"]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["n_theta", "n_phi", "seed"])
+    def test_fractional_config_number_exits_2(self, key, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(f'{{"{key}": 40.7}}')
+        assert main(["qdist", "coherent:n=1", "--config", "cfg.json"]) == 2
+        assert key in capsys.readouterr().err
+
     def test_non_finite_tol_config_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg").write_text("tol=nan\n")

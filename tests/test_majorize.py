@@ -46,6 +46,20 @@ class TestLorenz:
         d = discretize_state(make_analytic("glauber", 10.0), GridSpec(1200, 1200))
         assert lorenz(d).s[-1] == 1.0
 
+    def test_curve_shares_cached_sums(self):
+        d = dist(0.2, 0.5, 0.3)
+        assert np.shares_memory(lorenz(d).s, d.descending_cumsum)
+
+    def test_caller_arrays_are_copied(self):
+        arr = np.array([0.5, 0.8, 1.0])
+        curve = LorenzCurve(s=arr)
+        assert arr.flags.writeable
+        arr[0] = 0.6
+        assert curve.s[0] == 0.5
+        view = arr.view()
+        view.flags.writeable = False         # read-only, but arr can still change it
+        assert not np.shares_memory(LorenzCurve(s=view).s, arr)
+
     def test_curve_validation(self):
         with pytest.raises(ValueError):
             LorenzCurve(s=np.array([0.5, 0.4, 1.0]))       # decreasing

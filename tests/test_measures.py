@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polmaj import (ALPHA_SWEEP, RENYI_Q_SWEEP, DiscreteDistribution, Relation,
-                    compare, confidence_interval, lorenz, renyi, t_transform)
+from polmaj import (ALPHA_SWEEP, RENYI_Q_SWEEP, DiscreteDistribution, GridSpec, Relation,
+                    compare, confidence_interval, discretize_state, lorenz, make_analytic,
+                    make_noon, renyi, t_transform)
 
 
 def dist(*values):
@@ -36,6 +37,15 @@ class TestConfidenceInterval:
         for alpha in (0.0, -0.1, 1.0001):
             with pytest.raises(ValueError):
                 confidence_interval(d, alpha)
+
+    def test_one_sort_per_distribution(self, monkeypatch):
+        d = discretize_state(make_noon(3), GridSpec(20, 30))
+        sort, calls = np.sort, []
+        monkeypatch.setattr(np, "sort", lambda *a, **k: calls.append(1) or sort(*a, **k))
+        lorenz(d)
+        for alpha in ALPHA_SWEEP:
+            confidence_interval(d, alpha)
+        assert len(calls) == 1
 
     @given(w=weights_strategy)
     @settings(max_examples=80, deadline=None)
@@ -67,11 +77,37 @@ class TestRenyi:
         assert renyi(d, 1.0 + 1e-6) == pytest.approx(r1, abs=1e-5)
         assert renyi(d, 1.0 - 1e-6) == pytest.approx(r1, abs=1e-5)
 
+    def test_continuity_near_shannon_point(self):
+        # q ln p_max and ln sum (p/p_max)^q cancel here; each side must still agree
+        d = DiscreteDistribution.from_weights(np.random.default_rng(8).random(50))
+        for q in (1.0 - 1e-12, 1.0 + 1e-12):
+            assert renyi(d, q) == pytest.approx(renyi(d, 1.0), abs=1e-12)
+
     def test_index_validation(self):
-        with pytest.raises(ValueError):
-            renyi(dist(0.5, 0.5), 0.0)
-        with pytest.raises(ValueError):
-            renyi(dist(0.5, 0.5), -2.0)
+        for q in (0.0, -2.0, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                renyi(dist(0.5, 0.5), q)
+
+    def test_large_q_on_concentrated_grid(self):
+        # every p^q underflows here; R_q must still lie between R_inf and R_50
+        d = discretize_state(make_analytic("thermal", 10.0), GridSpec(400, 400))
+        floor, r50 = -math.log(d.p.max()), renyi(d, 50.0)
+        for q in (100.0, 1000.0):
+            assert floor <= renyi(d, q) <= r50
+
+    def test_min_entropy_at_infinity(self):
+        d = DiscreteDistribution.from_weights(np.random.default_rng(9).random(40))
+        assert renyi(d, math.inf) == -math.log(d.p.max())
+        assert renyi(dist(0.25, 0.75), math.inf) == -math.log(0.75)
+
+    @given(w=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=12).filter(lambda w: sum(w) > 0),
+           qs=st.lists(st.floats(0.0, math.inf, exclude_min=True), min_size=2, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_finite_and_nonincreasing_over_all_q(self, w, qs):
+        d = DiscreteDistribution.from_weights(np.asarray(w, dtype=float))
+        vals = [renyi(d, q) for q in sorted(qs)]
+        assert all(math.isfinite(v) for v in vals)
+        assert all(v2 <= v1 + 1e-12 for v1, v2 in zip(vals, vals[1:]))
 
     @given(w=weights_strategy)
     @settings(max_examples=80, deadline=None)

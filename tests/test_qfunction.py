@@ -5,7 +5,7 @@ import pytest
 
 from polmaj import (Direction, EulerRotation, GridSpec, MixedState, PureFockState,
                     apply_su2, discretize_state, make_analytic, make_coherent,
-                    make_noon, make_phase, q_analytic, q_evaluator, q_mixed,
+                    make_noon, make_phase, make_squeezed, q_analytic, q_evaluator, q_mixed,
                     q_on_grid, q_pure, random_pure, rotation_matrix, su2_overlap)
 
 FOUR_PI = 4.0 * math.pi
@@ -215,3 +215,18 @@ class TestNormalizationAndDispatch:
                 for j in range(5):
                     assert grid_vals[i, j] == pytest.approx(
                         ev(Direction(thetas[i], phis[j])), rel=1e-12, abs=1e-15)
+
+    def test_single_amplitude_closed_forms(self):
+        # sums over m run over the nonzero amplitudes only; large n keeps them honest
+        phis = np.linspace(-np.pi, np.pi, 5)
+        cases = ((make_coherent(1000), np.linspace(0.0, 0.2, 7),
+                  lambda t: 1001 / FOUR_PI * np.cos(t / 2) ** 2000),
+                 (make_squeezed(200), np.linspace(0.3, np.pi - 0.3, 7),
+                  lambda t: 201 / FOUR_PI * math.comb(200, 100)
+                  * (np.sin(t / 2) * np.cos(t / 2)) ** 200))
+        for state, thetas, closed in cases:
+            expect = np.broadcast_to(closed(thetas)[:, None], (thetas.size, phis.size))
+            assert np.all(expect > 0)
+            np.testing.assert_allclose(q_on_grid(state, thetas, phis), expect, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(q_pure(state, Direction(thetas[:, None], phis)), expect,
+                                       rtol=1e-12, atol=0)
