@@ -8,10 +8,11 @@ check), measures (Renyi/confidence tables).
 State designators: coherent:n=4 | phase:n=4 | squeezed:n=5 | noon:n=6 | hs:n=4 |
 random:n=4,seed=7 | glauber:nbar=10 | thermal:nbar=10 | tmsv:nbar=10.
 
-Exit codes: 0 success, 2 unparseable input or configuration, 3 non-finite Q on
-the grid, 1 failed doubled-grid stability in reproduce or an unwritable output
-file.  Any other error is a fault of polmaj and propagates with its traceback.  Verdict lines
-go to stdout, diagnostics to stderr; files are UTF-8.
+Exit codes: 0 success, 2 unparseable input or configuration, 3 non-finite,
+negative or vanishing Q on the grid, 1 failed doubled-grid stability in
+reproduce or an unwritable output file.  Any other error is a fault of polmaj
+and propagates with its traceback.  Verdict lines go to stdout, diagnostics to
+stderr; files are UTF-8.
 """
 
 from __future__ import annotations
@@ -206,6 +207,9 @@ def load_config_file(path: str) -> dict:
         if key not in converters:
             raise StateSpecError(f"config file {path}: unknown key {key!r}")
         try:
+            # JSON true would pass int() and float() as 1; str() would turn null into "None"
+            if isinstance(val, bool) or converters[key] is str and not isinstance(val, str):
+                raise TypeError(f"{val!r} has the wrong type")
             cfg["fmt" if key == "format" else key] = converters[key](val)
         except (TypeError, ValueError) as exc:
             raise StateSpecError(f"config file {path}: bad value for {key!r}") from exc
@@ -234,7 +238,7 @@ def _write_csv(path: Path, comments: list[str], header: list[str], rows) -> None
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:

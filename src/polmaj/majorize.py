@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .sphere_grid import DiscreteDistribution
+from .sphere_grid import DiscreteDistribution, owned_read_only
 
 # Default absolute tolerance on cumulative sums.  Calibrated so it sits well above
 # the discretization scatter of the default 400x400 grid (rotation-equivalent
@@ -64,9 +64,7 @@ class LorenzCurve:
     s: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
-        if s.flags.writeable or not s.flags.owndata:  # share only what no one can write
-            s = s.copy()
+        s = owned_read_only(self.s)
         if s.ndim != 1 or s.size < 1:
             raise ValueError("S_k must be a nonempty 1-d array")
         inc = np.diff(np.concatenate(([0.0], s)))
@@ -76,7 +74,6 @@ class LorenzCurve:
             raise ValueError("S_k increments must be nonincreasing (source sorted descending)")
         if abs(s[-1] - 1.0) > 1e-12:
             raise ValueError(f"S_N must equal 1, got {s[-1]!r}")
-        s.flags.writeable = False
         object.__setattr__(self, "s", s)
 
     @property
@@ -149,9 +146,6 @@ class PartialOrderResult:
     chain: str
     violations: tuple[str, ...]
     curves: tuple[LorenzCurve, ...]
-
-    def verdict(self, name_a: str, name_b: str) -> Verdict:
-        return self.matrix[self.names.index(name_a)][self.names.index(name_b)]
 
 
 def _equal_groups(names: list[str], matrix: list[list[Verdict]]) -> list[list[int]]:

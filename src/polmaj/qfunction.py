@@ -12,7 +12,7 @@ All evaluators broadcast over theta/phi arrays.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -63,10 +63,9 @@ def _scalarize(x: np.ndarray):
     return x[()] if x.ndim == 0 else x
 
 
-def su2_overlap(n: int, omega: Direction, state: PureFockState):
-    """Overlap <n, Omega | psi> = sum_m sqrt(C(n,m)) sin^(n-m)(t/2) cos^m(t/2) e^{i m phi} c_m."""
-    if state.n != n:
-        raise ValueError(f"photon-number mismatch: coherent state n={n}, state n={state.n}")
+def su2_overlap(state: PureFockState, omega: Direction):
+    """Overlap <n, Omega | psi> = sum_m sqrt(C(n,m)) sin^(n-m)(t/2) cos^m(t/2) e^{i m phi} c_m,
+    with n = state.n."""
     theta, phi = np.broadcast_arrays(np.asarray(omega.theta, float), np.asarray(omega.phi, float))
     _check_theta(theta)
     m, coeff = _coefficients(state, theta)
@@ -75,7 +74,7 @@ def su2_overlap(n: int, omega: Direction, state: PureFockState):
 
 def q_pure(state: PureFockState, omega: Direction):
     """Q(Omega) = (n+1)/(4 pi) |<n, Omega | psi>|^2, in sr^-1."""
-    amp = su2_overlap(state.n, omega, state)
+    amp = su2_overlap(state, omega)
     return (state.n + 1) / (4.0 * np.pi) * np.abs(amp) ** 2
 
 
@@ -103,17 +102,6 @@ def q_analytic(family: AnalyticQFamily, omega: Direction):
     else:  # tmsv
         q = np.sqrt(2.0 + nbar) / (2.0 * np.pi) / (2.0 + nbar * np.cos(theta) ** 2) ** 1.5
     return _scalarize(q)
-
-
-def q_evaluator(obj: PolState) -> Callable[[Direction], np.ndarray]:
-    """Q(Omega) evaluator for any supported state object."""
-    if isinstance(obj, PureFockState):
-        return lambda omega: q_pure(obj, omega)
-    if isinstance(obj, MixedState):
-        return lambda omega: q_mixed(obj, omega)
-    if isinstance(obj, AnalyticQFamily):
-        return lambda omega: q_analytic(obj, omega)
-    raise TypeError(f"no Q evaluator for {type(obj).__name__}")
 
 
 def q_on_grid(obj: PolState, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -18,7 +17,17 @@ from .qfunction import Direction, PolState, q_on_grid
 
 
 class EvaluationError(ValueError):
-    """A Q evaluator produced a negative or non-finite value on the grid."""
+    """Pixel weights (Q on the grid) that are non-finite, negative or all zero."""
+
+
+def owned_read_only(a) -> np.ndarray:
+    """a as a float array that nobody can write: a itself when it owns its data and
+    is already read-only, otherwise a read-only copy."""
+    a = np.asarray(a, dtype=float)
+    if a.flags.writeable or not a.flags.owndata:
+        a = a.copy()
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -56,7 +65,7 @@ class DiscreteDistribution:
     raw_mass: float = 1.0
 
     def __post_init__(self):
-        p = np.array(self.p, dtype=float)
+        p = owned_read_only(self.p)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("p must be a nonempty 1-d array")
         if np.any(p < 0) or not np.all(np.isfinite(p)):
@@ -64,20 +73,22 @@ class DiscreteDistribution:
         total = float(p.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"pixel probabilities must sum to 1, got {total!r}")
-        p.flags.writeable = False
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "raw_mass", float(self.raw_mass))
 
     @classmethod
     def from_weights(cls, weights) -> "DiscreteDistribution":
-        """Normalize arbitrary nonnegative weights; raw_mass records their sum."""
+        """Normalize nonnegative weights to unit sum, keeping their sum as raw_mass.
+        Non-finite, negative or all-zero weights raise EvaluationError."""
         w = np.asarray(weights, dtype=float)
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite and >= 0")
+        if not np.all(np.isfinite(w)) or np.any(w < 0):
+            raise EvaluationError("pixel weights must be finite and >= 0")
         total = float(w.sum())
         if total <= 0.0:
-            raise ValueError("weights must have positive sum")
-        return cls(p=w / total, raw_mass=total)
+            raise EvaluationError("pixel weights vanish everywhere")
+        p = w / total
+        p.flags.writeable = False  # a fresh array nobody else holds: kept, not copied
+        return cls(p=p, raw_mass=total)
 
     @property
     def n_pixels(self) -> int:
@@ -112,33 +123,8 @@ def grid_directions(spec: GridSpec) -> Direction:
     return Direction(np.repeat(thetas, spec.n_phi), np.tile(phis, spec.n_theta))
 
 
-def _finalize(qvals: np.ndarray, spec: GridSpec) -> DiscreteDistribution:
-    if qvals.shape != (spec.n_pixels,):
-        raise EvaluationError(f"evaluator returned shape {qvals.shape}, expected ({spec.n_pixels},)")
-    if not np.all(np.isfinite(qvals)):
-        raise EvaluationError("Q evaluator returned a non-finite value on the grid")
-    if np.any(qvals < 0):
-        raise EvaluationError("Q evaluator returned a negative value on the grid")
-    raw = qvals * spec.pixel_solid_angle
-    raw_mass = float(raw.sum())
-    if raw_mass <= 0.0:
-        raise EvaluationError("Q vanishes on the whole grid")
-    return DiscreteDistribution(p=raw / raw_mass, raw_mass=raw_mass)
-
-
-def discretize(evaluator: Callable[[Direction], np.ndarray], spec: GridSpec) -> DiscreteDistribution:
-    """Sample Q at the pixel centers, weight by 4 pi / N, renormalize to unit sum.
-
-    The evaluator receives a Direction holding flat length-N theta/phi arrays and
-    must return the matching array of nonnegative densities.  raw_mass keeps the
-    pre-normalization total as a sampling-fidelity diagnostic.
-    """
-    omega = grid_directions(spec)
-    qvals = np.asarray(evaluator(omega), dtype=float)
-    return _finalize(qvals, spec)
-
-
 def discretize_state(obj: PolState, spec: GridSpec) -> DiscreteDistribution:
-    """discretize() for a state object, using the factorized band/sector evaluation."""
-    q2d = q_on_grid(obj, band_thetas(spec), sector_phis(spec))
-    return _finalize(np.ascontiguousarray(q2d, dtype=float).ravel(), spec)
+    """Q sampled at the pixel centers, weighted by 4 pi / N and renormalized to unit
+    sum; raw_mass keeps the total before normalization as a sampling diagnostic."""
+    q = q_on_grid(obj, band_thetas(spec), sector_phis(spec))
+    return DiscreteDistribution.from_weights((q * spec.pixel_solid_angle).ravel())

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import polmaj
-from polmaj import EvaluationError, Relation, Verdict
+from polmaj import EvaluationError, GridSpec, Relation, Verdict, discretize_state, lorenz
 from polmaj.cli import (GLYPHS_ASCII, GLYPHS_UNICODE, RunConfig, StateSpecError,
                         assign_labels, build_config, load_config_file, main,
                         parse_state_spec, verdict_line)
@@ -172,6 +172,17 @@ class TestConfig:
         (tmp_path / "cfg").write_text("tol=nan\n")
         assert main(["compare", "coherent:n=2", "phase:n=2", *SMALL, "--config", "cfg"]) == 2
 
+    @pytest.mark.parametrize("cfg", [{"n_theta": True, "n_phi": 8}, {"seed": True},
+                                     {"tol": True}, {"format": True}, {"format": 1},
+                                     {"out": None}, {"out": 5}])
+    def test_config_value_of_wrong_json_type_exits_2(self, cfg, tmp_path, monkeypatch, capsys):
+        # booleans are not numbers here, and format and out must be JSON strings
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["qdist", "coherent:n=1", "--n-phi", "8", "--config", "cfg.json"]) == 2
+        assert "bad value" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
 
 class TestQdist:
     def test_vacuum_thermal_uniform(self, tmp_path, monkeypatch):
@@ -210,6 +221,13 @@ class TestQdist:
         monkeypatch.setattr(climod, "discretize_state", explode)
         assert main(["qdist", "coherent:n=2", *SMALL]) == 3
         assert "non-finite" in capsys.readouterr().err
+
+    def test_vanishing_q_exits_3(self, tmp_path, monkeypatch, capsys):
+        # glauber nbar=1e9 underflows to zero on every pixel of a 4x4 grid
+        monkeypatch.chdir(tmp_path)
+        assert main(["qdist", "glauber:nbar=1e9", "--n-theta", "4", "--n-phi", "4"]) == 3
+        assert "vanish" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_internal_value_error_propagates(self, tmp_path, monkeypatch):
         # only a StateSpecError means bad input; any other ValueError is a fault
@@ -331,6 +349,17 @@ class TestReproduceCmd:
         assert verdict["relation"] == "incomparable"
         k_a, k_b = verdict["witnesses"]
         assert 1 <= k_a <= 10000 and 1 <= k_b <= 10000 and k_a != k_b
+
+    def test_lorenz_cells_are_float_reprs(self, tmp_path, monkeypatch):
+        # each S_k cell is the shortest round-trip text of the library's value
+        monkeypatch.chdir(tmp_path)
+        assert main(["reproduce", "fig7", "--n-theta", "20", "--n-phi", "20"]) == 0
+        _, header, rows = read_csv(tmp_path / "reproduce_fig7_lorenz.csv")
+        assert header == ["k", "S_k_C", "S_k_N"]
+        assert [r[0] for r in rows] == [str(k) for k in range(1, 401)]
+        for col, spec in ((1, "coherent:n=2"), (2, "noon:n=6")):
+            s = lorenz(discretize_state(parse_state_spec(spec).obj, GridSpec(20, 20))).s
+            assert [r[col] for r in rows] == [repr(v) for v in s.tolist()]
 
     def test_one_curve_per_distribution(self, tmp_path, monkeypatch):
         import polmaj.majorize as majmod

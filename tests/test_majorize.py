@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polmaj import (DiscreteDistribution, GridSpec, LorenzCurve, Relation, compare,
+from polmaj import (DiscreteDistribution, GridSpec, LorenzCurve, Relation, Verdict, compare,
                     discretize_state, lorenz, make_analytic, partial_order, permutation_mix,
                     render_chain, t_transform)
 
@@ -90,6 +92,21 @@ class TestCompare:
         c = curve_of(0.4, 0.35, 0.25)
         with pytest.raises(ValueError, match="tol"):
             compare(c, c, tol=tol)
+
+    @given(tol=st.floats(allow_nan=True, allow_infinity=True))
+    @example(tol=math.nan)
+    @example(tol=math.inf)
+    @example(tol=-math.inf)
+    @example(tol=-0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_tol_domain(self, tol):
+        # every finite tol >= 0 gives a verdict; NaN, +-inf and negative tol raise
+        a, b = curve_of(0.6, 0.2, 0.2), curve_of(0.5, 0.5, 0.0)
+        if math.isfinite(tol) and tol >= 0.0:
+            assert isinstance(compare(a, b, tol), Verdict)
+        else:
+            with pytest.raises(ValueError, match="tol"):
+                compare(a, b, tol)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

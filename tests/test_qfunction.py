@@ -5,7 +5,7 @@ import pytest
 
 from polmaj import (Direction, EulerRotation, GridSpec, MixedState, PureFockState,
                     apply_su2, discretize_state, make_analytic, make_coherent,
-                    make_noon, make_phase, make_squeezed, q_analytic, q_evaluator, q_mixed,
+                    make_noon, make_phase, make_squeezed, q_analytic, q_mixed,
                     q_on_grid, q_pure, random_pure, rotation_matrix, su2_overlap)
 
 FOUR_PI = 4.0 * math.pi
@@ -14,21 +14,17 @@ FOUR_PI = 4.0 * math.pi
 class TestOverlap:
     def test_coherent_at_north_pole(self):
         for n in (0, 1, 4, 9):
-            ov = su2_overlap(n, Direction(0.0, 0.0), make_coherent(n))
+            ov = su2_overlap(make_coherent(n), Direction(0.0, 0.0))
             assert ov == pytest.approx(1.0, abs=1e-14)
             # at the pole the azimuth only contributes a convention phase e^{i n phi}
-            assert abs(su2_overlap(n, Direction(0.0, 0.3), make_coherent(n))) == \
+            assert abs(su2_overlap(make_coherent(n), Direction(0.0, 0.3))) == \
                 pytest.approx(1.0, abs=1e-14)
 
     def test_one_photon_example(self):
         # state (1, 0) on basis (|0,1>, |1,0>): overlap is sin(pi/4)
         state = PureFockState(n=1, amps=np.array([1.0, 0.0]))
-        ov = su2_overlap(1, Direction(math.pi / 2, 0.0), state)
+        ov = su2_overlap(state, Direction(math.pi / 2, 0.0))
         assert ov == pytest.approx(math.sin(math.pi / 4), abs=1e-14)
-
-    def test_photon_number_mismatch(self):
-        with pytest.raises(ValueError):
-            su2_overlap(3, Direction(0.1, 0.1), make_coherent(2))
 
     def test_theta_out_of_range(self):
         with pytest.raises(ValueError):
@@ -44,11 +40,11 @@ class TestOverlap:
         state = random_pure(3, seed=5)
         thetas = np.linspace(0, np.pi, 7)
         phis = np.linspace(-np.pi, np.pi, 7)
-        arr = su2_overlap(3, Direction(thetas, phis), state)
+        arr = su2_overlap(state, Direction(thetas, phis))
         assert arr.shape == (7,)
         for i in range(7):
             assert arr[i] == pytest.approx(
-                su2_overlap(3, Direction(thetas[i], phis[i]), state), abs=1e-15)
+                su2_overlap(state, Direction(thetas[i], phis[i])), abs=1e-15)
 
 
 class TestQPure:
@@ -191,30 +187,19 @@ class TestNormalizationAndDispatch:
         raw = discretize_state(make_analytic(kind, nbar), GridSpec(400, 400)).raw_mass
         assert raw == pytest.approx(1.0, abs=1e-3)
 
-    def test_evaluator_dispatch(self):
-        omega = Direction(0.9, 0.2)
-        pure = make_phase(3)
-        mix = MixedState(components=((1.0, pure),))
-        fam = make_analytic("tmsv", 2.0)
-        assert q_evaluator(pure)(omega) == q_pure(pure, omega)
-        assert q_evaluator(mix)(omega) == q_mixed(mix, omega)
-        assert q_evaluator(fam)(omega) == q_analytic(fam, omega)
-        with pytest.raises(TypeError):
-            q_evaluator("coherent:n=2")
-
     def test_q_on_grid_matches_pointwise(self):
         thetas = np.linspace(0.05, np.pi - 0.05, 6)
         phis = np.linspace(-np.pi, np.pi, 5)
-        for obj in (random_pure(5, seed=4),
-                    MixedState(components=((0.3, make_coherent(2)), (0.7, make_noon(3)))),
-                    make_analytic("thermal", 4.0)):
+        for obj, oracle in ((random_pure(5, seed=4), q_pure),
+                            (MixedState(components=((0.3, make_coherent(2)), (0.7, make_noon(3)))),
+                             q_mixed),
+                            (make_analytic("thermal", 4.0), q_analytic)):
             grid_vals = q_on_grid(obj, thetas, phis)
             assert grid_vals.shape == (6, 5)
-            ev = q_evaluator(obj)
             for i in range(6):
                 for j in range(5):
                     assert grid_vals[i, j] == pytest.approx(
-                        ev(Direction(thetas[i], phis[j])), rel=1e-12, abs=1e-15)
+                        oracle(obj, Direction(thetas[i], phis[j])), rel=1e-12, abs=1e-15)
 
     def test_single_amplitude_closed_forms(self):
         # sums over m run over the nonzero amplitudes only; large n keeps them honest

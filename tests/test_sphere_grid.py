@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from polmaj import (DiscreteDistribution, EulerRotation, EvaluationError, GridSpec,
-                    apply_su2, band_thetas, discretize, discretize_state,
-                    grid_directions, lorenz, make_analytic, make_coherent,
-                    q_evaluator, random_pure, sector_phis)
+                    MixedState, PureFockState, apply_su2, band_thetas, discretize_state,
+                    grid_directions, lorenz, make_analytic, make_coherent, q_analytic,
+                    q_pure, random_pure, sector_phis)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -52,8 +53,12 @@ class TestGridDirections:
 
 class TestDiscretize:
     def test_uniform_q(self):
+        # the equal mixture of the n+1 Dicke states |m, n-m> has Q = 1 / (4 pi) exactly
+        n = 3
+        dicke = [PureFockState(n=n, amps=np.eye(n + 1)[m]) for m in range(n + 1)]
         spec = GridSpec(20, 30)
-        dist = discretize(lambda omega: np.full(spec.n_pixels, 1.0 / FOUR_PI), spec)
+        dist = discretize_state(MixedState(components=tuple((1.0 / (n + 1), s) for s in dicke)),
+                                spec)
         assert dist.raw_mass == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(dist.p, 1.0 / spec.n_pixels, rtol=1e-12)
 
@@ -68,42 +73,60 @@ class TestDiscretize:
         assert np.all(bands == bands[:, :1])
 
     def test_matches_generic_discretize(self):
+        # the pointwise oracles on the flat pixel centers, weighted and normalized here
         spec = GridSpec(40, 50)
-        for obj in (random_pure(4, seed=6), make_analytic("glauber", 3.0)):
+        omega = grid_directions(spec)
+        for obj, oracle in ((random_pure(4, seed=6), q_pure),
+                            (make_analytic("glauber", 3.0), q_analytic)):
             a = discretize_state(obj, spec)
-            b = discretize(q_evaluator(obj), spec)
-            assert np.allclose(a.p, b.p, rtol=1e-12, atol=1e-18)
-            assert a.raw_mass == pytest.approx(b.raw_mass, rel=1e-12)
+            raw = oracle(obj, omega) * spec.pixel_solid_angle
+            assert np.allclose(a.p, raw / raw.sum(), rtol=1e-12, atol=1e-18)
+            assert a.raw_mass == pytest.approx(raw.sum(), rel=1e-12)
 
     def test_rejects_non_finite(self):
-        spec = GridSpec(4, 4)
-
-        def bad(omega):
-            q = np.ones(16)
-            q[3] = np.nan
-            return q
-
-        with pytest.raises(EvaluationError):
-            discretize(bad, spec)
+        for bad in (np.nan, np.inf, -np.inf):
+            w = np.ones(16)
+            w[3] = bad
+            with pytest.raises(EvaluationError):
+                DiscreteDistribution.from_weights(w)
 
     def test_rejects_negative(self):
-        spec = GridSpec(4, 4)
-
-        def bad(omega):
-            q = np.ones(16)
-            q[0] = -1e-3
-            return q
-
+        w = np.ones(16)
+        w[0] = -1e-3
         with pytest.raises(EvaluationError):
-            discretize(bad, spec)
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(EvaluationError):
-            discretize(lambda omega: np.ones(5), GridSpec(4, 4))
+            DiscreteDistribution.from_weights(w)
 
     def test_rejects_zero_mass(self):
-        with pytest.raises(EvaluationError):
-            discretize(lambda omega: np.zeros(16), GridSpec(4, 4))
+        # at 4x4 the band nearest a pole has sin^2(theta/2) = 1/8, so Q ~ exp(-1.25e8) = 0
+        with pytest.raises(EvaluationError, match="vanish"):
+            discretize_state(make_analytic("glauber", 1e9), GridSpec(4, 4))
+
+    def test_keeps_its_array(self, monkeypatch):
+        # the normalized weights become d.p as they are: no copy inside DiscreteDistribution
+        given = []
+        post_init = DiscreteDistribution.__post_init__
+
+        def spy(self):
+            given.append(self.p)
+            post_init(self)
+
+        monkeypatch.setattr(DiscreteDistribution, "__post_init__", spy)
+        d = discretize_state(make_coherent(3), GridSpec(20, 30))
+        assert d.p is given[0]
+        assert d.p.flags.owndata and not d.p.flags.writeable
+
+    @pytest.mark.parametrize("obj", [make_analytic("thermal", 10.0), make_coherent(4),
+                                     random_pure(6, seed=1)], ids=["thermal", "coherent", "random"])
+    def test_peak_memory(self, obj):
+        # q on the grid, q weighted, p: the pure states add the complex amplitude sum
+        spec = GridSpec(600, 600)
+        tracemalloc.start()
+        try:
+            d = discretize_state(obj, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * d.p.nbytes
 
 
 class TestDiscreteDistribution:
@@ -126,6 +149,22 @@ class TestDiscreteDistribution:
         d = DiscreteDistribution.from_weights([1.0, 3.0])
         with pytest.raises(ValueError):
             d.p[0] = 0.9
+
+    def test_read_only_owned_array_is_kept(self):
+        d = DiscreteDistribution.from_weights([1.0, 3.0])
+        assert DiscreteDistribution(p=d.p).p is d.p
+
+    def test_caller_arrays_are_copied(self):
+        # a writeable array, or a read-only view of one, can still change under d.p
+        arr = np.array([0.25, 0.75])
+        view = arr.view()
+        view.flags.writeable = False
+        dists = [DiscreteDistribution(p=given) for given in (arr, view)]
+        assert arr.flags.writeable
+        arr[:] = [0.5, 0.5]
+        for d in dists:
+            assert not np.shares_memory(d.p, arr)
+            assert d.p.tolist() == [0.25, 0.75]
 
 
 class TestRotationRobustness:
