@@ -263,7 +263,8 @@ def partial_order(items: Sequence[tuple[str, DiscreteDistribution]],
 def t_transform(dist: DiscreteDistribution, i: int, j: int, lam: float) -> DiscreteDistribution:
     """Mix components i and j (0-based): (p_i, p_j) -> ((1-l) p_i + l p_j, l p_i + (1-l) p_j).
 
-    The result is majorized by the input for any l in [0, 1].
+    The result is majorized by the input for any l in [0, 1], and stores every pixel
+    (repeat 1) whatever the input's storage.
     """
     n = dist.n_pixels
     if not (0 <= i < n and 0 <= j < n):
@@ -276,7 +277,8 @@ def t_transform(dist: DiscreteDistribution, i: int, j: int, lam: float) -> Discr
     pi, pj = p[i], p[j]
     p[i] = (1.0 - lam) * pi + lam * pj
     p[j] = lam * pi + (1.0 - lam) * pj
-    return DiscreteDistribution(p=p, raw_mass=dist.raw_mass)
+    p.flags.writeable = False  # a fresh array nobody else holds: kept, not copied
+    return DiscreteDistribution(values=p, raw_mass=dist.raw_mass)
 
 
 def permutation_mix(dist: DiscreteDistribution,
@@ -284,7 +286,8 @@ def permutation_mix(dist: DiscreteDistribution,
                     weights: Sequence[float]) -> DiscreteDistribution:
     """Weighted average of permuted copies: p~ = sum_j w_j p[perm_j].
 
-    Every convex permutation mixture is majorized by the input.
+    Every convex permutation mixture is majorized by the input.  The result stores
+    every pixel (repeat 1) whatever the input's storage.
     """
     n = dist.n_pixels
     w = np.asarray(weights, dtype=float)
@@ -298,4 +301,5 @@ def permutation_mix(dist: DiscreteDistribution,
         if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {perm!r}")
         out += wj * dist.p[perm]
-    return DiscreteDistribution(p=out, raw_mass=dist.raw_mass)
+    out.flags.writeable = False  # a fresh array nobody else holds: kept, not copied
+    return DiscreteDistribution(values=out, raw_mass=dist.raw_mass)

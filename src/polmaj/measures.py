@@ -35,19 +35,21 @@ def renyi(dist: DiscreteDistribution, q: float) -> float:
     Shannon point the two terms cancel, so for |q - 1| < 1/2 the sum is taken as
     R_q = -ln p_max - log1p(sum p expm1((q-1) ln(p/p_max)))/(q-1), which stays
     accurate as q -> 1.
-    Zero-probability pixels contribute nothing for every q.
+    Zero-probability pixels contribute nothing for every q.  The sums run over
+    dist.values, one term per stored value, times dist.repeat.
     """
     if not q > 0.0:
         raise ValueError(f"entropy index must be > 0, got {q!r}")
-    p = dist.p[dist.p > 0.0]
+    p = dist.values[dist.values > 0.0]
+    r = dist.repeat
     if q == 1.0:
-        return float(-np.sum(p * np.log(p)))
+        return float(-r * np.sum(p * np.log(p)))
     p_max = float(p.max())
     if q == math.inf:
         return -math.log(p_max)
     t = q - 1.0
     x = p / p_max
     if abs(t) < 0.5:
-        return -math.log(p_max) - math.log1p(float(np.sum(p * np.expm1(t * np.log(x))))) / t
+        return -math.log(p_max) - math.log1p(r * float(np.sum(p * np.expm1(t * np.log(x))))) / t
     x **= q  # in place: a fine grid makes every N-sized temporary count
-    return q / (1.0 - q) * math.log(p_max) + math.log(float(np.sum(x))) / (1.0 - q)
+    return q / (1.0 - q) * math.log(p_max) + math.log(r * float(np.sum(x))) / (1.0 - q)

@@ -104,6 +104,19 @@ def q_analytic(family: AnalyticQFamily, omega: Direction):
     return _scalarize(q)
 
 
+def is_phi_independent(obj: PolState) -> bool:
+    """Whether Q of obj is the same at every azimuth: an analytic family, a pure state
+    with a single nonzero amplitude (|c_m e^{i m phi}| does not vary with phi), or a
+    mixture of such states."""
+    if isinstance(obj, AnalyticQFamily):
+        return True
+    if isinstance(obj, PureFockState):
+        return np.count_nonzero(obj.amps) == 1
+    if isinstance(obj, MixedState):
+        return all(is_phi_independent(s) for _, s in obj.components)
+    return False
+
+
 def q_on_grid(obj: PolState, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Q on the outer-product grid thetas x phis, shape (len(thetas), len(phis)).
 

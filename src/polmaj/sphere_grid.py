@@ -8,12 +8,14 @@ phi_k = 2 pi k / n_phi - pi, k = 1..n_phi, flattened as j = n_phi (l-1) + k.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .qfunction import Direction, PolState, q_on_grid
+from .qfunction import Direction, PolState, is_phi_independent, q_on_grid
 
 
 class EvaluationError(ValueError):
@@ -40,8 +42,10 @@ class GridSpec:
     def __post_init__(self):
         for name in ("n_theta", "n_phi"):
             v = getattr(self, name)
-            if v < 1 or v != int(v):
+            if (isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v)
+                    or v < 1 or v != int(v)):
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
         if self.n_theta * self.n_phi < 2:
             raise ValueError("grid needs at least 2 pixels")
 
@@ -59,46 +63,71 @@ DEFAULT_GRID = GridSpec(400, 400)
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Pixel probabilities p (unit sum) plus the pre-normalization mass diagnostic."""
+    """Pixel probabilities (unit sum) plus the pre-normalization mass diagnostic.
 
-    p: np.ndarray
+    Pixel j (1-based) has probability values[(j - 1) // repeat].  A phi-independent
+    state stores one value per band with repeat = n_phi, which is the band-major
+    pixel order j = n_phi (l-1) + k; any other distribution has repeat 1.
+    """
+
+    values: np.ndarray
     raw_mass: float = 1.0
+    repeat: int = 1
 
     def __post_init__(self):
-        p = owned_read_only(self.p)
-        if p.ndim != 1 or p.size < 1:
-            raise ValueError("p must be a nonempty 1-d array")
-        if np.any(p < 0) or not np.all(np.isfinite(p)):
+        values = owned_read_only(self.values)
+        repeat = self.repeat
+        if isinstance(repeat, bool) or not isinstance(repeat, numbers.Integral) or repeat < 1:
+            raise ValueError(f"repeat must be a positive integer, got {repeat!r}")
+        if values.ndim != 1 or values.size < 1:
+            raise ValueError("values must be a nonempty 1-d array")
+        if np.any(values < 0) or not np.all(np.isfinite(values)):
             raise ValueError("pixel probabilities must be finite and >= 0")
-        total = float(p.sum())
+        total = float(values.sum()) * repeat
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"pixel probabilities must sum to 1, got {total!r}")
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "raw_mass", float(self.raw_mass))
+        object.__setattr__(self, "repeat", int(repeat))
 
     @classmethod
-    def from_weights(cls, weights) -> "DiscreteDistribution":
-        """Normalize nonnegative weights to unit sum, keeping their sum as raw_mass.
-        Non-finite, negative or all-zero weights raise EvaluationError."""
+    def from_weights(cls, weights, repeat: int = 1) -> "DiscreteDistribution":
+        """Normalize nonnegative weights, each standing for `repeat` pixels, to unit
+        sum, keeping their total as raw_mass.  Non-finite, negative or all-zero
+        weights raise EvaluationError."""
         w = np.asarray(weights, dtype=float)
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise EvaluationError("pixel weights must be finite and >= 0")
-        total = float(w.sum())
+        total = float(w.sum()) * repeat
         if total <= 0.0:
             raise EvaluationError("pixel weights vanish everywhere")
-        p = w / total
-        p.flags.writeable = False  # a fresh array nobody else holds: kept, not copied
-        return cls(p=p, raw_mass=total)
+        values = w / total
+        values.flags.writeable = False  # a fresh array nobody else holds: kept, not copied
+        return cls(values=values, raw_mass=total, repeat=repeat)
 
     @property
     def n_pixels(self) -> int:
-        return self.p.size
+        return self.values.size * self.repeat
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        """All n_pixels probabilities, read-only: `values` itself when repeat is 1,
+        otherwise built on first read."""
+        if self.repeat == 1:
+            return self.values
+        p = np.repeat(self.values, self.repeat)
+        p.flags.writeable = False
+        return p
 
     @cached_property
     def descending_cumsum(self) -> np.ndarray:
         """S_k: p sorted in decreasing order and accumulated, read-only, with S_N pinned
-        to 1 against the drift of a long sum.  Sorted once, on first use."""
-        s = np.cumsum(np.sort(self.p)[::-1])
+        to 1 against the drift of a long sum.  Sorted once, on first use, and over
+        `values` alone, so a repeated distribution sorts one value per run."""
+        desc = np.sort(self.values)[::-1]
+        if self.repeat > 1:  # np.repeat copies even at 1: no N-sized temporary there
+            desc = np.repeat(desc, self.repeat)
+        s = np.cumsum(desc)
         s /= s[-1]
         s.flags.writeable = False
         return s
@@ -125,6 +154,10 @@ def grid_directions(spec: GridSpec) -> Direction:
 
 def discretize_state(obj: PolState, spec: GridSpec) -> DiscreteDistribution:
     """Q sampled at the pixel centers, weighted by 4 pi / N and renormalized to unit
-    sum; raw_mass keeps the total before normalization as a sampling diagnostic."""
-    q = q_on_grid(obj, band_thetas(spec), sector_phis(spec))
-    return DiscreteDistribution.from_weights((q * spec.pixel_solid_angle).ravel())
+    sum; raw_mass keeps the total before normalization as a sampling diagnostic.
+    A phi-independent Q is sampled on one sector and repeated over all n_phi."""
+    phis, repeat = sector_phis(spec), 1
+    if is_phi_independent(obj):
+        phis, repeat = phis[:1], spec.n_phi
+    q = q_on_grid(obj, band_thetas(spec), phis)
+    return DiscreteDistribution.from_weights((q * spec.pixel_solid_angle).ravel(), repeat=repeat)

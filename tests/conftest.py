@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polmaj import GridSpec, discretize_state, lorenz
+from polmaj import DiscreteDistribution, GridSpec, discretize_state, lorenz
 from polmaj.cli import parse_state_spec
 
 DEFAULT_GRID = GridSpec(400, 400)
@@ -44,3 +44,18 @@ def cache():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture
+def spy_values(monkeypatch):
+    """The `values` array handed to each DiscreteDistribution built in the test, before
+    its own validation can copy it."""
+    given = []
+    post_init = DiscreteDistribution.__post_init__
+
+    def spy(self):
+        given.append(self.values)
+        post_init(self)
+
+    monkeypatch.setattr(DiscreteDistribution, "__post_init__", spy)
+    return given

@@ -11,7 +11,7 @@ from polmaj import (DiscreteDistribution, GridSpec, LorenzCurve, Relation, Verdi
 
 
 def dist(*values):
-    return DiscreteDistribution(p=np.array(values, dtype=float))
+    return DiscreteDistribution(values=np.array(values, dtype=float))
 
 
 def curve_of(*values):
@@ -35,7 +35,7 @@ class TestLorenz:
 
     def test_uniform_is_linear(self):
         n = 8
-        assert np.allclose(lorenz(DiscreteDistribution(p=np.full(n, 1 / n))).s,
+        assert np.allclose(lorenz(DiscreteDistribution(values=np.full(n, 1 / n))).s,
                            np.arange(1, n + 1) / n)
 
     def test_deterministic_tie_breaking(self):
@@ -148,6 +148,16 @@ class TestTTransform:
         out = t_transform(dist(0.7, 0.3), 0, 1, 0.5)
         assert np.allclose(out.p, [0.5, 0.5])
 
+    def test_keeps_the_array_it_builds(self, spy_values):
+        out = t_transform(dist(0.7, 0.3), 0, 1, 0.25)
+        assert out.p is spy_values[-1]
+
+    def test_repeated_input_gives_every_pixel(self):
+        d = DiscreteDistribution.from_weights([3.0, 1.0], repeat=2)
+        out = t_transform(d, 1, 2, 0.5)
+        assert out.repeat == 1
+        assert out.p.tolist() == [0.375, 0.25, 0.25, 0.125]
+
     def test_validation(self):
         d = dist(0.5, 0.5)
         with pytest.raises(ValueError):
@@ -181,6 +191,16 @@ class TestPermutationMix:
         out = permutation_mix(d, perms, [0.25] * 4)
         assert np.allclose(out.p, 0.25)
 
+    def test_keeps_the_array_it_builds(self, spy_values):
+        out = permutation_mix(dist(0.4, 0.3, 0.3), [np.arange(3)[::-1]], [1.0])
+        assert out.p is spy_values[-1]
+
+    def test_repeated_input_gives_every_pixel(self):
+        d = DiscreteDistribution.from_weights([3.0, 1.0], repeat=2)
+        out = permutation_mix(d, [np.array([3, 2, 1, 0])], [1.0])
+        assert out.repeat == 1
+        assert out.p.tolist() == [0.125, 0.125, 0.375, 0.375]
+
     def test_validation(self):
         d = dist(0.5, 0.5)
         with pytest.raises(ValueError):
@@ -212,7 +232,7 @@ class TestTransitivityExact:
         for _ in range(200):
             n = int(rng.integers(3, 9))
             counts = rng.multinomial(64, np.ones(n) / n)
-            p0 = DiscreteDistribution(p=counts / 64.0)
+            p0 = DiscreteDistribution(values=counts / 64.0)
             def step(d):
                 i, j = rng.choice(d.n_pixels, size=2, replace=False)
                 lam = rng.integers(1, 9) / 8.0

@@ -11,7 +11,7 @@ from polmaj import (ALPHA_SWEEP, RENYI_Q_SWEEP, DiscreteDistribution, GridSpec, 
 
 
 def dist(*values):
-    return DiscreteDistribution(p=np.array(values, dtype=float))
+    return DiscreteDistribution(values=np.array(values, dtype=float))
 
 
 weights_strategy = st.lists(st.integers(0, 50), min_size=2, max_size=12).filter(
@@ -25,7 +25,7 @@ class TestConfidenceInterval:
             assert confidence_interval(d, alpha) == 1
 
     def test_uniform_example(self):
-        d = DiscreteDistribution(p=np.full(10, 0.1))
+        d = DiscreteDistribution(values=np.full(10, 0.1))
         assert confidence_interval(d, 0.35) == 4
 
     def test_alpha_one_counts_support(self):
@@ -57,7 +57,7 @@ class TestConfidenceInterval:
 
 class TestRenyi:
     def test_uniform_is_log_n(self):
-        d = DiscreteDistribution(p=np.full(16, 1 / 16))
+        d = DiscreteDistribution(values=np.full(16, 1 / 16))
         for q in RENYI_Q_SWEEP:
             assert renyi(d, q) == pytest.approx(math.log(16), abs=1e-12)
 

@@ -4,12 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polmaj import (DiscreteDistribution, EulerRotation, EvaluationError, GridSpec,
-                    MixedState, PureFockState, apply_su2, band_thetas, discretize_state,
-                    grid_directions, lorenz, make_analytic, make_coherent, q_analytic,
-                    q_pure, random_pure, sector_phis)
+from polmaj import (ALPHA_SWEEP, RENYI_Q_SWEEP, AnalyticQFamily, DiscreteDistribution,
+                    EulerRotation, EvaluationError, GridSpec, MixedState, PureFockState,
+                    apply_su2, band_thetas, confidence_interval, discretize_state,
+                    grid_directions, lorenz, make_analytic, make_coherent, make_phase,
+                    q_analytic, q_mixed, q_pure, random_pure, renyi, sector_phis)
+from polmaj.cli import parse_state_spec
 
 FOUR_PI = 4.0 * math.pi
+QS = RENYI_Q_SWEEP + (math.inf,)
 
 
 class TestGridSpec:
@@ -18,10 +21,17 @@ class TestGridSpec:
         assert spec.n_pixels == 200
         assert spec.pixel_solid_angle == pytest.approx(FOUR_PI / 200)
 
-    @pytest.mark.parametrize("nt,np_", [(0, 5), (5, 0), (-1, 4), (1, 1)])
+    @pytest.mark.parametrize("nt,np_", [(0, 5), (5, 0), (-1, 4), (1, 1), (math.inf, 4),
+                                        (4, math.nan), (True, 4), (4, True), (2.5, 4),
+                                        ("4", 4)])
     def test_invalid_specs(self, nt, np_):
         with pytest.raises(ValueError):
             GridSpec(nt, np_)
+
+    def test_sizes_stored_as_ints(self):
+        spec = GridSpec(np.int64(4), 6.0)
+        assert type(spec.n_theta) is int and type(spec.n_phi) is int
+        assert spec == GridSpec(4, 6)
 
 
 class TestGridDirections:
@@ -51,6 +61,28 @@ class TestGridDirections:
         assert np.allclose(dphi, 2 * math.pi / 11, atol=1e-12)
 
 
+def dense_oracle(obj, spec):
+    """Pixel probabilities and raw mass from the pointwise Q on every pixel center."""
+    omega = grid_directions(spec)
+    if isinstance(obj, AnalyticQFamily):
+        q = q_analytic(obj, omega)
+    elif isinstance(obj, MixedState):
+        q = q_mixed(obj, omega)
+    else:
+        q = q_pure(obj, omega)
+    raw = q * spec.pixel_solid_angle
+    return raw / raw.sum(), float(raw.sum())
+
+
+def oracle_renyi(p, q):
+    p = p[p > 0.0]
+    if q == 1.0:
+        return float(-np.sum(p * np.log(p)))
+    if q == math.inf:
+        return -math.log(float(p.max()))
+    return math.log(float(np.sum(p ** q))) / (1.0 - q)
+
+
 class TestDiscretize:
     def test_uniform_q(self):
         # the equal mixture of the n+1 Dicke states |m, n-m> has Q = 1 / (4 pi) exactly
@@ -73,15 +105,13 @@ class TestDiscretize:
         assert np.all(bands == bands[:, :1])
 
     def test_matches_generic_discretize(self):
-        # the pointwise oracles on the flat pixel centers, weighted and normalized here
+        # the pointwise oracles on the flat pixel centers, weighted and normalized
         spec = GridSpec(40, 50)
-        omega = grid_directions(spec)
-        for obj, oracle in ((random_pure(4, seed=6), q_pure),
-                            (make_analytic("glauber", 3.0), q_analytic)):
+        for obj in (random_pure(4, seed=6), make_analytic("glauber", 3.0)):
             a = discretize_state(obj, spec)
-            raw = oracle(obj, omega) * spec.pixel_solid_angle
-            assert np.allclose(a.p, raw / raw.sum(), rtol=1e-12, atol=1e-18)
-            assert a.raw_mass == pytest.approx(raw.sum(), rel=1e-12)
+            p, raw_mass = dense_oracle(obj, spec)
+            assert np.allclose(a.p, p, rtol=1e-12, atol=1e-18)
+            assert a.raw_mass == pytest.approx(raw_mass, rel=1e-12)
 
     def test_rejects_non_finite(self):
         for bad in (np.nan, np.inf, -np.inf):
@@ -101,18 +131,19 @@ class TestDiscretize:
         with pytest.raises(EvaluationError, match="vanish"):
             discretize_state(make_analytic("glauber", 1e9), GridSpec(4, 4))
 
-    def test_keeps_its_array(self, monkeypatch):
+    def test_keeps_its_array(self, spy_values):
         # the normalized weights become d.p as they are: no copy inside DiscreteDistribution
-        given = []
-        post_init = DiscreteDistribution.__post_init__
+        d = discretize_state(make_phase(3), GridSpec(20, 30))
+        assert d.repeat == 1
+        assert d.values is spy_values[0] and d.p is spy_values[0]
+        assert d.p.flags.owndata and not d.p.flags.writeable
 
-        def spy(self):
-            given.append(self.p)
-            post_init(self)
-
-        monkeypatch.setattr(DiscreteDistribution, "__post_init__", spy)
+    def test_keeps_its_band_values(self, spy_values):
+        # a phi-independent state keeps one value per band, uncopied; p is built from it
         d = discretize_state(make_coherent(3), GridSpec(20, 30))
-        assert d.p is given[0]
+        assert d.repeat == 30 and d.values.size == 20
+        assert d.values is spy_values[0]
+        assert d.p.size == 600 and not np.shares_memory(d.p, d.values)
         assert d.p.flags.owndata and not d.p.flags.writeable
 
     @pytest.mark.parametrize("obj", [make_analytic("thermal", 10.0), make_coherent(4),
@@ -132,11 +163,25 @@ class TestDiscretize:
 class TestDiscreteDistribution:
     def test_validation(self):
         with pytest.raises(ValueError):
-            DiscreteDistribution(p=np.array([0.5, 0.6]))
+            DiscreteDistribution(values=np.array([0.5, 0.6]))
         with pytest.raises(ValueError):
-            DiscreteDistribution(p=np.array([1.5, -0.5]))
+            DiscreteDistribution(values=np.array([1.5, -0.5]))
         with pytest.raises(ValueError):
-            DiscreteDistribution(p=np.array([0.5, np.nan]))
+            DiscreteDistribution(values=np.array([0.5, np.nan]))
+        with pytest.raises(ValueError, match="sum to 1"):
+            DiscreteDistribution(values=np.array([0.5, 0.5]), repeat=2)
+        for bad in (0, True, 2.5):
+            with pytest.raises(ValueError, match="repeat"):
+                DiscreteDistribution(values=np.array([0.5, 0.5]), repeat=bad)
+
+    def test_repeated_values(self):
+        d = DiscreteDistribution.from_weights([3.0, 1.0], repeat=3)
+        assert d.raw_mass == 12.0 and d.n_pixels == 6
+        assert d.p.tolist() == [0.25, 0.25, 0.25, 1 / 12, 1 / 12, 1 / 12]
+        assert np.allclose(d.descending_cumsum, np.cumsum(d.p))
+        assert d.descending_cumsum[-1] == 1.0
+        with pytest.raises(EvaluationError, match="vanish"):
+            DiscreteDistribution.from_weights([0.0, 0.0], repeat=3)
 
     def test_from_weights(self):
         d = DiscreteDistribution.from_weights([2.0, 6.0])
@@ -152,19 +197,84 @@ class TestDiscreteDistribution:
 
     def test_read_only_owned_array_is_kept(self):
         d = DiscreteDistribution.from_weights([1.0, 3.0])
-        assert DiscreteDistribution(p=d.p).p is d.p
+        assert DiscreteDistribution(values=d.p).p is d.p
 
     def test_caller_arrays_are_copied(self):
         # a writeable array, or a read-only view of one, can still change under d.p
         arr = np.array([0.25, 0.75])
         view = arr.view()
         view.flags.writeable = False
-        dists = [DiscreteDistribution(p=given) for given in (arr, view)]
+        dists = [DiscreteDistribution(values=given) for given in (arr, view)]
         assert arr.flags.writeable
         arr[:] = [0.5, 0.5]
         for d in dists:
             assert not np.shares_memory(d.p, arr)
             assert d.p.tolist() == [0.25, 0.75]
+
+
+# single-m Dicke states of different photon numbers: every component is phi-independent
+DICKE_MIXTURE = MixedState(components=(
+    (0.5, PureFockState(n=4, amps=np.eye(5)[2])),
+    (0.3, PureFockState(n=3, amps=np.eye(4)[0])),
+    (0.2, PureFockState(n=6, amps=np.eye(7)[5]))))
+PHI_INDEPENDENT = {spec: parse_state_spec(spec).obj
+                   for spec in ("coherent:n=4", "coherent:n=1000", "squeezed:n=4",
+                                "squeezed:n=200", "glauber:nbar=10", "thermal:nbar=10",
+                                "tmsv:nbar=10")}
+PHI_INDEPENDENT["dicke-mixture"] = DICKE_MIXTURE
+
+
+class TestRepeatedStorage:
+    """phi-independent states store one value per band, repeated over every sector."""
+
+    @pytest.mark.parametrize("spec", [GridSpec(7, 13), GridSpec(400, 400), GridSpec(1200, 1200)],
+                             ids=["7x13", "400^2", "1200^2"])
+    @pytest.mark.parametrize("name", list(PHI_INDEPENDENT))
+    def test_matches_dense_oracle(self, name, spec):
+        obj = PHI_INDEPENDENT[name]
+        d = discretize_state(obj, spec)
+        assert d.repeat == spec.n_phi and d.values.size == spec.n_theta
+        p, raw_mass = dense_oracle(obj, spec)
+        s = np.cumsum(np.sort(p)[::-1])
+        s /= s[-1]
+        assert d.raw_mass == pytest.approx(raw_mass, rel=1e-12)
+        for q in QS:
+            assert renyi(d, q) == pytest.approx(oracle_renyi(p, q), rel=1e-12, abs=1e-12)
+        assert np.max(np.abs(d.descending_cumsum - s)) <= 1e-14
+        for alpha in ALPHA_SWEEP:
+            assert confidence_interval(d, alpha) == int(np.searchsorted(s, alpha)) + 1
+        np.testing.assert_allclose(d.p, p, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("obj", [
+        parse_state_spec("noon:n=4").obj, parse_state_spec("squeezed:n=5").obj,
+        parse_state_spec("random:n=6,seed=3").obj,
+        apply_su2(make_coherent(4), EulerRotation(0.3, 1.1, -0.4))],
+        ids=["noon", "squeezed-odd", "random", "rotated-coherent"])
+    def test_phi_dependent_states_keep_every_pixel(self, obj):
+        spec = GridSpec(7, 13)
+        d = discretize_state(obj, spec)
+        assert d.repeat == 1 and d.values.size == spec.n_pixels
+
+    def test_measures_and_curve_do_not_build_p(self):
+        d = discretize_state(make_analytic("thermal", 10.0), GridSpec(40, 50))
+        lorenz(d)
+        for alpha in ALPHA_SWEEP:
+            confidence_interval(d, alpha)
+        for q in QS:
+            renyi(d, q)
+        assert "p" not in d.__dict__
+
+    def test_sort_of_every_pixel_allocates_no_extra_copy(self):
+        # a repeat-1 distribution sorts into one array and accumulates into another
+        d = discretize_state(random_pure(6, seed=2), GridSpec(400, 400))
+        assert d.repeat == 1
+        tracemalloc.start()
+        try:
+            d.descending_cumsum
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * d.p.nbytes
 
 
 class TestRotationRobustness:
