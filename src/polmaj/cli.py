@@ -21,15 +21,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .majorize import (DEFAULT_TOL, GLYPHS_ASCII, GLYPHS_UNICODE, PartialOrderResult,
                        Relation, Verdict, partial_order, render_chain)
 from .measures import ALPHA_SWEEP, RENYI_Q_SWEEP, confidence_interval, renyi
-from .sphere_grid import (DiscreteDistribution, EvaluationError, GridSpec, discretize_state,
-                          grid_directions)
+from .sphere_grid import EvaluationError, GridSpec, discretize_state, grid_directions
 from .states import (make_analytic, make_coherent, make_hs_extremal, make_noon,
                      make_phase, make_squeezed, random_pure)
 
@@ -228,104 +227,85 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def _open_out(path: Path):
-    return open(path, "w", encoding="utf-8", newline="\n")
+def _write(path: Path, fmt: str, comments: Sequence[str], header: Sequence[str],
+           rows: Optional[Callable[[], Iterable]], payload: Optional[Callable[[], dict]]) -> None:
+    """Write `rows()` as CSV under `#` comment lines and a header, or `payload()` as
+    indented JSON, and note the path on stderr.  Only the chosen format's data is built."""
+    data = payload() if fmt == "json" else rows()  # before open: no truncated file on error
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if fmt == "json":
+            json.dump(data, fh, indent=1)
+            fh.write("\n")
+        else:
+            for line in comments:
+                fh.write(f"# {line}\n")
+            fh.write(",".join(header) + "\n")
+            for row in data:
+                fh.write(",".join(map(str, row)) + "\n")
+    print(f"wrote {path}", file=sys.stderr)
 
 
-def _write_csv(path: Path, comments: list[str], header: list[str], rows) -> None:
-    with _open_out(path) as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with _open_out(path) as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-
-def _write_lorenz_csv(path: Path, comments: list[str], result: PartialOrderResult) -> None:
-    """The k,S_k_<name>... table: one column per curve of `result`, headed by its name."""
-    rows = zip(range(1, result.curves[0].n + 1), *(c.s.tolist() for c in result.curves))
-    _write_csv(path, comments, ["k"] + [f"S_k_{name}" for name in result.names], rows)
+def _lorenz_table(result: PartialOrderResult) -> tuple[list[str], Callable[[], Iterable]]:
+    """Header and lazy rows of the k,S_k_<name>... table: one column per curve."""
+    return (["k"] + [f"S_k_{name}" for name in result.names],
+            lambda: zip(range(1, result.curves[0].n + 1), *(c.s.tolist() for c in result.curves)))
 
 
 def _out_path(cfg: RunConfig, default_stem: str) -> Path:
     return Path(cfg.out) if cfg.out else Path(f"{default_stem}.{cfg.fmt}")
 
 
-def _grid_dict(grid: GridSpec) -> dict:
-    return {"n_theta": grid.n_theta, "n_phi": grid.n_phi}
-
-
-def _note(path: Path) -> None:
-    print(f"wrote {path}", file=sys.stderr)
+def _analyze(specs: Sequence[str], cfg: RunConfig, grid: Optional[GridSpec] = None,
+             use_letter: bool = False):
+    """Parse and label the designators `specs`, then discretize each state on `grid`
+    (the configured grid by default): (parsed states, labels, distributions)."""
+    parsed = [parse_state_spec(s, cfg.seed) for s in specs]
+    labels = assign_labels(parsed, use_letter)
+    grid = grid or cfg.grid
+    return parsed, labels, [discretize_state(p.obj, grid) for p in parsed]
 
 
 def cmd_qdist(cfg: RunConfig, args: argparse.Namespace) -> int:
-    ps = parse_state_spec(args.state, cfg.seed)
+    (ps,), _, (dist,) = _analyze([args.state], cfg)
     grid = cfg.grid
-    dist = discretize_state(ps.obj, grid)
     omega = grid_directions(grid)
-    path = _out_path(cfg, "qdist")
     n = grid.n_pixels
-    if cfg.fmt == "csv":
-        rows = zip(range(1, n + 1), omega.theta.tolist(), omega.phi.tolist(), dist.p.tolist())
-        _write_csv(path, [f"state={ps.text}", f"n_theta={grid.n_theta}",
-                          f"n_phi={grid.n_phi}", f"raw_mass={dist.raw_mass!r}"],
-                   ["j", "theta", "phi", "p"], rows)
-    else:
-        _write_json(path, {
-            "command": "qdist", "state": ps.text, "grid": _grid_dict(grid),
-            "raw_mass": dist.raw_mass,
-            "pixels": {"j": list(range(1, n + 1)), "theta": omega.theta.tolist(),
-                       "phi": omega.phi.tolist(), "p": dist.p.tolist()},
-        })
-    _note(path)
+    _write(_out_path(cfg, "qdist"), cfg.fmt,
+           [f"state={ps.text}", f"n_theta={grid.n_theta}", f"n_phi={grid.n_phi}",
+            f"raw_mass={dist.raw_mass!r}"],
+           ["j", "theta", "phi", "p"],
+           lambda: zip(range(1, n + 1), omega.theta.tolist(), omega.phi.tolist(), dist.p.tolist()),
+           lambda: {"command": "qdist", "state": ps.text, "grid": asdict(grid),
+                    "raw_mass": dist.raw_mass,
+                    "pixels": {"j": list(range(1, n + 1)), "theta": omega.theta.tolist(),
+                               "phi": omega.phi.tolist(), "p": dist.p.tolist()}})
     return 0
 
 
-def _order(parsed: Sequence[ParsedState], labels: Sequence[str], grid: GridSpec,
-           tol: float) -> tuple[list[DiscreteDistribution], PartialOrderResult]:
-    """Discretize the states on `grid` and compare every pair of their curves."""
-    dists = [discretize_state(p.obj, grid) for p in parsed]
-    return dists, partial_order(list(zip(labels, dists)), tol)
-
-
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
-    parsed = [parse_state_spec(args.state_a, cfg.seed), parse_state_spec(args.state_b, cfg.seed)]
-    labels = assign_labels(parsed, use_letter=False)
-    dists, result = _order(parsed, labels, cfg.grid, cfg.tol)
+    parsed, labels, dists = _analyze([args.state_a, args.state_b], cfg)
+    result = partial_order(list(zip(labels, dists)), cfg.tol)
     verdict = result.matrix[0][1]
     print(verdict_line(verdict, labels[0], labels[1], _stdout_glyphs()))
-    path = _out_path(cfg, "compare")
-    if cfg.fmt == "csv":
-        _write_lorenz_csv(path,
-                          [f"a={parsed[0].text}", f"b={parsed[1].text}",
-                           f"n_theta={cfg.n_theta}", f"n_phi={cfg.n_phi}", f"tol={cfg.tol!r}",
-                           f"verdict={verdict.relation.value}",
-                           f"raw_mass_a={dists[0].raw_mass!r}", f"raw_mass_b={dists[1].raw_mass!r}"],
-                          result)
-    else:
-        _write_json(path, {
-            "command": "compare", "grid": _grid_dict(cfg.grid), "tol": cfg.tol,
-            "states": [{"spec": p.text, "label": lab, "raw_mass": d.raw_mass}
-                       for p, lab, d in zip(parsed, labels, dists)],
-            "verdict": {"relation": verdict.relation.value,
-                        "witnesses": list(verdict.witnesses) if verdict.witnesses else None,
-                        "line": verdict_line(verdict, labels[0], labels[1], GLYPHS_ASCII)},
-            "lorenz": {lab: c.s.tolist() for lab, c in zip(labels, result.curves)},
-        })
-    _note(path)
+    _write(_out_path(cfg, "compare"), cfg.fmt,
+           [f"a={parsed[0].text}", f"b={parsed[1].text}",
+            f"n_theta={cfg.n_theta}", f"n_phi={cfg.n_phi}", f"tol={cfg.tol!r}",
+            f"verdict={verdict.relation.value}",
+            f"raw_mass_a={dists[0].raw_mass!r}", f"raw_mass_b={dists[1].raw_mass!r}"],
+           *_lorenz_table(result),
+           lambda: {"command": "compare", "grid": asdict(cfg.grid), "tol": cfg.tol,
+                    "states": [{"spec": p.text, "label": lab, "raw_mass": d.raw_mass}
+                               for p, lab, d in zip(parsed, labels, dists)],
+                    "verdict": {"relation": verdict.relation.value,
+                                "witnesses": list(verdict.witnesses) if verdict.witnesses else None,
+                                "line": verdict_line(verdict, labels[0], labels[1], GLYPHS_ASCII)},
+                    "lorenz": {lab: c.s.tolist() for lab, c in zip(labels, result.curves)}})
     return 0
 
 
 def _chain_payload(result, parsed, labels, dists, grid, tol) -> dict:
     return {
-        "grid": _grid_dict(grid), "tol": tol,
+        "grid": asdict(grid), "tol": tol,
         "states": [{"spec": p.text, "label": lab} for p, lab in zip(parsed, labels)],
         "verdict_matrix": [[{"relation": v.relation.value,
                              "witnesses": list(v.witnesses) if v.witnesses else None}
@@ -340,21 +320,16 @@ def _chain_payload(result, parsed, labels, dists, grid, tol) -> dict:
 def cmd_chain(cfg: RunConfig, args: argparse.Namespace) -> int:
     if len(args.states) < 2:
         raise StateSpecError("chain needs at least two states")
-    parsed = [parse_state_spec(s, cfg.seed) for s in args.states]
-    labels = assign_labels(parsed, use_letter=True)
-    dists, result = _order(parsed, labels, cfg.grid, cfg.tol)
+    parsed, labels, dists = _analyze(args.states, cfg, use_letter=True)
+    result = partial_order(list(zip(labels, dists)), cfg.tol)
     print(render_chain(result.layers, ascii_glyphs=_stdout_glyphs() is GLYPHS_ASCII))
-    path = _out_path(cfg, "chain")
-    if cfg.fmt == "csv":
-        _write_lorenz_csv(path,
-                          [f"states={' '.join(p.text for p in parsed)}",
-                           f"n_theta={cfg.n_theta}", f"n_phi={cfg.n_phi}", f"tol={cfg.tol!r}",
-                           f"chain={render_chain(result.layers, ascii_glyphs=True)}"],
-                          result)
-    else:
-        _write_json(path, {"command": "chain",
-                           **_chain_payload(result, parsed, labels, dists, cfg.grid, cfg.tol)})
-    _note(path)
+    _write(_out_path(cfg, "chain"), cfg.fmt,
+           [f"states={' '.join(p.text for p in parsed)}",
+            f"n_theta={cfg.n_theta}", f"n_phi={cfg.n_phi}", f"tol={cfg.tol!r}",
+            f"chain={render_chain(result.layers, ascii_glyphs=True)}"],
+           *_lorenz_table(result),
+           lambda: {"command": "chain",
+                    **_chain_payload(result, parsed, labels, dists, cfg.grid, cfg.tol)})
     return 0
 
 
@@ -374,102 +349,87 @@ def _relations(result: PartialOrderResult) -> list[list[Relation]]:
 
 def cmd_reproduce(cfg: RunConfig, args: argparse.Namespace) -> int:
     specs = FIGURES[args.figure]
-    parsed = [parse_state_spec(s, cfg.seed) for s in specs]
-    labels = assign_labels(parsed, use_letter=True)
+    parsed, labels, dists = _analyze(specs, cfg, use_letter=True)
     grid = cfg.grid
-    dists, result = _order(parsed, labels, grid, cfg.tol)
+    result = partial_order(list(zip(labels, dists)), cfg.tol)
     # only the relations of the doubled grid are kept; its distributions and
     # curves are freed before any output is written
     doubled = GridSpec(2 * grid.n_theta, 2 * grid.n_phi)
-    stable = _relations(result) == _relations(_order(parsed, labels, doubled, cfg.tol)[1])
+    stable = _relations(result) == _relations(
+        partial_order(list(zip(labels, _analyze(specs, cfg, doubled, use_letter=True)[2])),
+                      cfg.tol))
+    print(render_chain(result.layers, ascii_glyphs=_stdout_glyphs() is GLYPHS_ASCII))
+    print(f"doubled-grid stability: {'PASS' if stable else 'FAIL'}")
 
     base = Path(cfg.out) if cfg.out else Path(f"reproduce_{args.figure}")
     if base.suffix in (".csv", ".json"):
         base = base.with_suffix("")
-    csv_path = base.with_name(base.name + "_lorenz.csv")
-    json_path = base.with_name(base.name + "_verdicts.json")
-    _write_lorenz_csv(csv_path,
-                      [f"figure={args.figure}", f"states={' '.join(specs)}",
-                       f"n_theta={grid.n_theta}", f"n_phi={grid.n_phi}", f"tol={cfg.tol!r}",
-                       f"chain={render_chain(result.layers, ascii_glyphs=True)}"],
-                      result)
-    payload = {"command": "reproduce", "figure": args.figure,
-               **_chain_payload(result, parsed, labels, dists, grid, cfg.tol),
-               "stability": {"grid_doubled": _grid_dict(doubled), "verdicts_unchanged": stable}}
-    _write_json(json_path, payload)
-
-    print(render_chain(result.layers, ascii_glyphs=_stdout_glyphs() is GLYPHS_ASCII))
-    print(f"doubled-grid stability: {'PASS' if stable else 'FAIL'}")
-    _note(csv_path)
-    _note(json_path)
+    _write(base.with_name(base.name + "_lorenz.csv"), "csv",
+           [f"figure={args.figure}", f"states={' '.join(specs)}",
+            f"n_theta={grid.n_theta}", f"n_phi={grid.n_phi}", f"tol={cfg.tol!r}",
+            f"chain={render_chain(result.layers, ascii_glyphs=True)}"],
+           *_lorenz_table(result), None)
+    _write(base.with_name(base.name + "_verdicts.json"), "json", (), (), None,
+           lambda: {"command": "reproduce", "figure": args.figure,
+                    **_chain_payload(result, parsed, labels, dists, grid, cfg.tol),
+                    "stability": {"grid_doubled": asdict(doubled),
+                                  "verdicts_unchanged": stable}})
     return 0 if stable else 1
 
 
 def cmd_measures(cfg: RunConfig, args: argparse.Namespace) -> int:
-    ps = parse_state_spec(args.state, cfg.seed)
-    dist = discretize_state(ps.obj, cfg.grid)
+    (ps,), _, (dist,) = _analyze([args.state], cfg)
     renyi_vals = [(q, renyi(dist, q)) for q in RENYI_Q_SWEEP]
     conf_vals = [(a, confidence_interval(dist, a)) for a in ALPHA_SWEEP]
-    path = _out_path(cfg, "measures")
-    if cfg.fmt == "csv":
-        rows = ([("renyi", q, v) for q, v in renyi_vals]
-                + [("confidence", a, k) for a, k in conf_vals])
-        _write_csv(path, [f"state={ps.text}", f"n_theta={cfg.grid.n_theta}",
-                          f"n_phi={cfg.grid.n_phi}", f"raw_mass={dist.raw_mass!r}"],
-                   ["measure", "param", "value"], rows)
-    else:
-        _write_json(path, {
-            "command": "measures", "state": ps.text, "grid": _grid_dict(cfg.grid),
-            "raw_mass": dist.raw_mass,
-            "renyi": {repr(q): v for q, v in renyi_vals},
-            "confidence": {repr(a): k for a, k in conf_vals},
-        })
-    _note(path)
+    _write(_out_path(cfg, "measures"), cfg.fmt,
+           [f"state={ps.text}", f"n_theta={cfg.grid.n_theta}", f"n_phi={cfg.grid.n_phi}",
+            f"raw_mass={dist.raw_mass!r}"],
+           ["measure", "param", "value"],
+           lambda: ([("renyi", q, v) for q, v in renyi_vals]
+                    + [("confidence", a, k) for a, k in conf_vals]),
+           lambda: {"command": "measures", "state": ps.text, "grid": asdict(cfg.grid),
+                    "raw_mass": dist.raw_mass,
+                    "renyi": {repr(q): v for q, v in renyi_vals},
+                    "confidence": {repr(a): k for a, k in conf_vals}})
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-theta", dest="n_theta", type=int, help="cos(theta) bands (default 400)")
-    p.add_argument("--n-phi", dest="n_phi", type=int, help="azimuth sectors (default 400)")
-    p.add_argument("--tol", type=float, help=f"comparison tolerance (default {DEFAULT_TOL:g})")
-    p.add_argument("--seed", type=int, help="default seed for random:... states")
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), help="output format")
-    p.add_argument("--out", help="output path (base path for reproduce)")
-    p.add_argument("--config", help="key=value or JSON config file")
+# name, help, positional arguments (name, add_argument keywords), handler
+_SUBCOMMANDS = (
+    ("qdist", "discretized Q distribution of one state", [("state", {})], cmd_qdist),
+    ("compare", "majorization verdict for two states",
+     [("state_a", {}), ("state_b", {})], cmd_compare),
+    ("chain", "verdict matrix and chain over a state set",
+     [("states", {"nargs": "+"})], cmd_chain),
+    ("reproduce", "built-in figure dataset with stability check",
+     [("figure", {"choices": sorted(FIGURES)})], cmd_reproduce),
+    ("measures", "Renyi entropies and confidence intervals", [("state", {})], cmd_measures),
+)
 
 
 def make_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--n-theta", dest="n_theta", type=int, help="cos(theta) bands (default 400)")
+    common.add_argument("--n-phi", dest="n_phi", type=int, help="azimuth sectors (default 400)")
+    common.add_argument("--tol", type=float, help=f"comparison tolerance (default {DEFAULT_TOL:g})")
+    common.add_argument("--seed", type=int, help="default seed for random:... states")
+    common.add_argument("--format", dest="fmt", choices=("csv", "json"), help="output format")
+    common.add_argument("--out", help="output path (base path for reproduce)")
+    common.add_argument("--config", help="key=value or JSON config file")
     parser = argparse.ArgumentParser(
         prog="polmaj",
         description="Majorization of SU(2) Husimi polarization distributions.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("qdist", help="discretized Q distribution of one state")
-    p.add_argument("state")
-    _add_common(p)
-    p.set_defaults(func=cmd_qdist)
-
-    p = sub.add_parser("compare", help="majorization verdict for two states")
-    p.add_argument("state_a")
-    p.add_argument("state_b")
-    _add_common(p)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("chain", help="verdict matrix and chain over a state set")
-    p.add_argument("states", nargs="+")
-    _add_common(p)
-    p.set_defaults(func=cmd_chain)
-
-    p = sub.add_parser("reproduce", help="built-in figure dataset with stability check")
-    p.add_argument("figure", choices=sorted(FIGURES))
-    _add_common(p)
-    p.set_defaults(func=cmd_reproduce)
-
-    p = sub.add_parser("measures", help="Renyi entropies and confidence intervals")
-    p.add_argument("state")
-    _add_common(p)
-    p.set_defaults(func=cmd_measures)
+    for name, help_text, positionals, func in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text, parents=[common])
+        for arg, kwargs in positionals:
+            p.add_argument(arg, **kwargs)
+        p.set_defaults(func=func)
     return parser
+
+
+# the errors main reports, with their exit codes; any other exception propagates
+_EXIT_CODES = {EvaluationError: 3, StateSpecError: 2, OSError: 1}
 
 
 def main(argv=None) -> int:
@@ -477,15 +437,9 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         return args.func(cfg, args)
-    except EvaluationError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except StateSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -86,6 +86,11 @@ def lorenz(dist: DiscreteDistribution) -> LorenzCurve:
     return LorenzCurve(s=dist.descending_cumsum)
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+
+
 def compare(a: LorenzCurve, b: LorenzCurve, tol: float = DEFAULT_TOL) -> Verdict:
     """Four-valued majorization verdict between curves on a common grid.
 
@@ -96,8 +101,7 @@ def compare(a: LorenzCurve, b: LorenzCurve, tol: float = DEFAULT_TOL) -> Verdict
     """
     if a.n != b.n:
         raise ValueError(f"curve length mismatch: {a.n} vs {b.n} (distributions must share a grid)")
-    if not 0.0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    _check_tol(tol)
     d = a.s - b.s
     up = float(d.max())
     dn = float(d.min())
@@ -171,7 +175,7 @@ def _equal_groups(names: list[str], matrix: list[list[Verdict]]) -> list[list[in
 
 def partial_order(items: Sequence[tuple[str, DiscreteDistribution]],
                   tol: float = DEFAULT_TOL) -> PartialOrderResult:
-    """Compare every pair of named distributions and lay out the partial order.
+    """Compare each pair of named distributions once and lay out the partial order.
 
     All distributions must share one grid.  Equal items are merged into groups;
     groups are layered by longest majorization chain below them, which reproduces
@@ -185,15 +189,16 @@ def partial_order(items: Sequence[tuple[str, DiscreteDistribution]],
     sizes = {dist.n_pixels for _, dist in items}
     if len(sizes) > 1:
         raise ValueError(f"distributions live on different grids: sizes {sorted(sizes)}")
+    _check_tol(tol)
     curves = [lorenz(dist) for _, dist in items]
     n = len(items)
-    matrix = [[compare(curves[i], curves[j], tol) for j in range(n)] for i in range(n)]
-    violations: list[str] = []
-
+    # each unordered pair is compared once; compare(b, a) is exactly compare(a, b).flipped()
+    matrix = [[Verdict(Relation.EQUAL)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if matrix[j][i].relation is not matrix[i][j].flipped().relation:
-                violations.append(f"antisymmetry: {names[i]} vs {names[j]} disagree across the diagonal")
+            matrix[i][j] = compare(curves[i], curves[j], tol)
+            matrix[j][i] = matrix[i][j].flipped()
+    violations: list[str] = []
 
     rel = [[matrix[i][j].relation for j in range(n)] for i in range(n)]
     for i in range(n):

@@ -94,13 +94,15 @@ class DiscreteDistribution:
     def from_weights(cls, weights, repeat: int = 1) -> "DiscreteDistribution":
         """Normalize nonnegative weights, each standing for `repeat` pixels, to unit
         sum, keeping their total as raw_mass.  Non-finite, negative or all-zero
-        weights raise EvaluationError."""
+        weights, or weights whose total overflows, raise EvaluationError."""
         w = np.asarray(weights, dtype=float)
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise EvaluationError("pixel weights must be finite and >= 0")
-        total = float(w.sum()) * repeat
-        if total <= 0.0:
-            raise EvaluationError("pixel weights vanish everywhere")
+        with np.errstate(over="ignore"):  # an infinite total is reported just below
+            total = float(w.sum()) * repeat
+        if not 0.0 < total < math.inf:
+            raise EvaluationError("pixel weights vanish everywhere" if total <= 0.0
+                                  else "pixel weights sum beyond the float range")
         values = w / total
         values.flags.writeable = False  # a fresh array nobody else holds: kept, not copied
         return cls(values=values, raw_mass=total, repeat=repeat)

@@ -12,7 +12,7 @@ import polmaj
 from polmaj import EvaluationError, GridSpec, Relation, Verdict, discretize_state, lorenz
 from polmaj.cli import (GLYPHS_ASCII, GLYPHS_UNICODE, RunConfig, StateSpecError,
                         assign_labels, build_config, load_config_file, main,
-                        parse_state_spec, verdict_line)
+                        make_parser, parse_state_spec, verdict_line)
 from polmaj.states import AnalyticQFamily, PureFockState
 
 SMALL = ["--n-theta", "100", "--n-phi", "100"]
@@ -315,9 +315,11 @@ class TestChainCmd:
         assert payload["violations"] == []
         assert set(payload["raw_masses"]) == {"N", "S", "H", "P", "C"}
 
-    def test_single_state_rejected(self, tmp_path, monkeypatch):
+    def test_single_state_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["chain", "coherent:n=2", *SMALL]) == 2
+        assert "at least two states" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_csv_columns(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -410,6 +412,96 @@ class TestMeasuresCmd:
         payload = json.loads((tmp_path / "m.json").read_text())
         assert set(payload["renyi"]) == {"0.5", "1.0", "2.0", "5.0"}
         assert len(payload["confidence"]) == 19
+
+
+class TestCsvJsonAgree:
+    # the numbers each subcommand writes in both formats, as (CSV, JSON) lists
+    @staticmethod
+    def compare(meta, header, rows, payload):
+        labels = list(payload["lorenz"])
+        assert header == ["k"] + [f"S_k_{lab}" for lab in labels]
+        assert meta["verdict"] == payload["verdict"]["relation"]
+        return ([float(meta["raw_mass_a"]), float(meta["raw_mass_b"])]
+                + [[float(r[col]) for r in rows] for col in (1, 2)],
+                [s["raw_mass"] for s in payload["states"]]
+                + [payload["lorenz"][lab] for lab in labels])
+
+    @staticmethod
+    def chain(meta, header, rows, payload):
+        assert header == ["k"] + [f"S_k_{s['label']}" for s in payload["states"]]
+        assert meta["states"] == " ".join(s["spec"] for s in payload["states"])
+        assert meta["chain"] == payload["chain_ascii"]
+        return [], []
+
+    @staticmethod
+    def measures(meta, header, rows, payload):
+        json_rows = ([("renyi", float(q), v) for q, v in payload["renyi"].items()]
+                     + [("confidence", float(a), k) for a, k in payload["confidence"].items()])
+        return ([float(meta["raw_mass"])] + [(r[0], float(r[1]), float(r[2])) for r in rows],
+                [payload["raw_mass"]] + json_rows)
+
+    @pytest.mark.parametrize("argv", [["compare", "coherent:n=2", "noon:n=6"],
+                                      ["chain", "noon:n=2", "random:n=2,seed=3", "coherent:n=2"],
+                                      ["measures", "random:n=3,seed=4"]], ids=lambda a: a[0])
+    def test_csv_json_values_agree(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = [*argv, "--n-theta", "15", "--n-phi", "15", "--tol", "3e-4"]
+        assert main([*argv, "--format", "csv", "--out", "o.csv"]) == 0
+        assert main([*argv, "--format", "json", "--out", "o.json"]) == 0
+        comments, header, rows = read_csv(tmp_path / "o.csv")
+        meta = dict(c.split("=", 1) for c in comments)
+        payload = json.loads((tmp_path / "o.json").read_text())
+        assert payload["command"] == argv[0]
+        csv_vals, json_vals = getattr(self, argv[0])(meta, header, rows, payload)
+        # repr round-trip makes the two encodings identical, not just close
+        assert csv_vals == json_vals
+        assert [int(meta["n_theta"]), int(meta["n_phi"])] == list(payload["grid"].values())
+        if "tol" in payload:
+            assert float(meta["tol"]) == payload["tol"] == 3e-4
+
+
+class TestSubcommandInterface:
+    @pytest.mark.parametrize("argv, positionals", [
+        (["qdist", "coherent:n=1"], {"state": "coherent:n=1"}),
+        (["measures", "coherent:n=1"], {"state": "coherent:n=1"}),
+        (["compare", "coherent:n=1", "phase:n=2"], {"state_a": "coherent:n=1", "state_b": "phase:n=2"}),
+        (["chain", "noon:n=2"], {"states": ["noon:n=2"]}),
+        (["chain", "noon:n=2", "hs:n=2", "phase:n=2"], {"states": ["noon:n=2", "hs:n=2", "phase:n=2"]}),
+        (["reproduce", "fig8"], {"figure": "fig8"}),
+    ])
+    def test_positionals(self, argv, positionals):
+        args = make_parser().parse_args([*argv, "--n-theta", "8", "--tol", "0.01"])
+        assert args.command == argv[0] and args.func.__name__ == f"cmd_{argv[0]}"
+        assert {key: getattr(args, key) for key in positionals} == positionals
+        assert (args.n_theta, args.tol, args.n_phi, args.fmt) == (8, 0.01, None, None)
+
+    @pytest.mark.parametrize("argv", [
+        ["qdist"], ["qdist", "coherent:n=1", "coherent:n=2"],
+        ["measures"], ["measures", "coherent:n=1", "coherent:n=2"],
+        ["compare", "coherent:n=1"], ["compare", "coherent:n=1", "phase:n=2", "noon:n=2"],
+        ["chain"], ["reproduce"], ["reproduce", "fig9"], ["reproduce", "fig3", "fig4"],
+    ])
+    def test_wrong_count_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--n-theta", "4", "--n-phi", "4"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: polmaj ")  # extra ones: top-level usage
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command, usage", [
+        ("qdist", "state"), ("measures", "state"), ("compare", "state_a state_b"),
+        ("chain", "states [states ...]"), ("reproduce", "{fig3,fig4,fig5,fig6,fig7,fig8}"),
+    ])
+    def test_help_names_positionals(self, command, usage, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        first = out.splitlines()[0]
+        assert first.startswith(f"usage: polmaj {command} [-h] [--n-theta N_THETA]")
+        assert first.endswith(f"[--config CONFIG] {usage}")
 
 
 class TestStdoutGlyphs:

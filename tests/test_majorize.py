@@ -279,6 +279,37 @@ class TestPartialOrder:
         # its curve (0.4, 0.8, 1.0) is majorized by (0.5, 0.8, 1.0)
         assert res.chain == "z ≺ x≡y"
 
+    def test_each_pair_compared_once(self, monkeypatch):
+        import polmaj.majorize as majmod
+        calls = []
+
+        def spy(a, b, tol=majmod.DEFAULT_TOL):
+            calls.append((a, b))
+            return compare(a, b, tol)
+
+        monkeypatch.setattr(majmod, "compare", spy)
+        items = [(name, dist(*w)) for name, w in
+                 [("a", (0.7, 0.2, 0.1)), ("b", (0.5, 0.3, 0.2)), ("c", (0.6, 0.4, 0.0)),
+                  ("d", (0.4, 0.4, 0.2)), ("e", (0.2, 0.5, 0.3))]]
+        res = partial_order(items, tol=1e-9)
+        assert len(calls) == 5 * 4 // 2
+        index = {id(c): k for k, c in enumerate(res.curves)}
+        assert {(index[id(a)], index[id(b)]) for a, b in calls} == {
+            (i, j) for i in range(5) for j in range(i + 1, 5)}
+        for i in range(5):
+            assert res.matrix[i][i] == Verdict(Relation.EQUAL)
+            for j in range(5):
+                # the mirror is exactly what comparing the other way round gives
+                assert res.matrix[i][j] == compare(res.curves[i], res.curves[j], 1e-9)
+                assert res.matrix[j][i] == res.matrix[i][j].flipped()
+        assert any(v.relation is Relation.INCOMPARABLE for row in res.matrix for v in row)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
+    def test_rejects_bad_tol_with_one_item(self, tol):
+        # a single item needs no comparison, but the tolerance is still checked
+        with pytest.raises(ValueError, match="tol"):
+            partial_order([("only", dist(0.6, 0.4))], tol=tol)
+
     def test_curves_in_item_order(self):
         items = [("x", dist(0.6, 0.2, 0.2)), ("y", dist(0.1, 0.5, 0.4))]
         res = partial_order(items)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,14 @@ class TestDiscretize:
         # at 4x4 the band nearest a pole has sin^2(theta/2) = 1/8, so Q ~ exp(-1.25e8) = 0
         with pytest.raises(EvaluationError, match="vanish"):
             discretize_state(make_analytic("glauber", 1e9), GridSpec(4, 4))
+
+    @pytest.mark.parametrize("weights, repeat", [([1e308, 1e308], 1), ([1e308], 10)])
+    def test_rejects_overflowing_total(self, weights, repeat):
+        # each weight is finite but their total is not: no overflow warning, no 0.0 probabilities
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="float range"):
+                DiscreteDistribution.from_weights(weights, repeat=repeat)
 
     def test_keeps_its_array(self, spy_values):
         # the normalized weights become d.p as they are: no copy inside DiscreteDistribution
