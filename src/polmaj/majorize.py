@@ -152,27 +152,6 @@ class PartialOrderResult:
     curves: tuple[LorenzCurve, ...]
 
 
-def _equal_groups(names: list[str], matrix: list[list[Verdict]]) -> list[list[int]]:
-    n = len(names)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if matrix[i][j].relation is Relation.EQUAL:
-                parent[find(j)] = find(i)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    # keep input order of first members
-    return sorted(groups.values(), key=lambda g: g[0])
-
-
 def partial_order(items: Sequence[tuple[str, DiscreteDistribution]],
                   tol: float = DEFAULT_TOL) -> PartialOrderResult:
     """Compare each pair of named distributions once and lay out the partial order.
@@ -180,8 +159,9 @@ def partial_order(items: Sequence[tuple[str, DiscreteDistribution]],
     All distributions must share one grid.  Equal items are merged into groups;
     groups are layered by longest majorization chain below them, which reproduces
     presentations like "H < S >< N < P < C".  Inconsistencies (failed
-    transitivity, Equal items relating differently to a third, comparable items
-    forced into one layer, cycles) are reported in `violations`, not raised.
+    transitivity, Equal items relating differently to a third, cycles) are
+    reported in `violations`, not raised; groups on or above a cycle share the
+    top layer.
     """
     names = [name for name, _ in items]
     if len(set(names)) != len(names):
@@ -210,101 +190,40 @@ def partial_order(items: Sequence[tuple[str, DiscreteDistribution]],
                         f"transitivity: {names[i]} majorizes {names[j]} majorizes {names[k]}, "
                         f"but {names[i]} vs {names[k]} is {rel[i][k].value}")
 
-    groups = _equal_groups(names, matrix)
-    ngroups = len(groups)
-    grel: list[list[Relation]] = [[Relation.EQUAL] * ngroups for _ in range(ngroups)]
-    for a in range(ngroups):
-        for b in range(ngroups):
+    # Equal items merge into groups: n rounds label each item with the smallest
+    # index it is Equal-connected to, and groups keep that member's order
+    label = list(range(n))
+    for _ in range(n):
+        label = [min(label[j] for j in range(n) if rel[i][j] is Relation.EQUAL) for i in range(n)]
+    groups = [[i for i in range(n) if label[i] == r] for r in range(n) if label[r] == r]
+    below: list[list[int]] = [[] for _ in groups]
+    for a, ga in enumerate(groups):
+        for b, gb in enumerate(groups):
             if a == b:
                 continue
-            seen = {rel[i][j] for i in groups[a] for j in groups[b]}
-            if len(seen) > 1:
+            if len({rel[i][j] for i in ga for j in gb}) > 1:
                 violations.append(
-                    f"equal-group consistency: members of {{{','.join(names[i] for i in groups[a])}}} "
-                    f"relate differently to {{{','.join(names[j] for j in groups[b])}}}")
-            grel[a][b] = rel[groups[a][0]][groups[b][0]]
+                    f"equal-group consistency: members of {{{','.join(names[i] for i in ga)}}} "
+                    f"relate differently to {{{','.join(names[j] for j in gb)}}}")
+            if rel[ga[0]][gb[0]] is Relation.MAJORIZES:
+                below[a].append(b)
 
-    # longest-chain depth over the "majorizes" DAG, with cycle protection
-    depth = [None] * ngroups
+    # depth: the longest majorization chain below each group.  Acyclic relations
+    # settle within len(groups) - 1 rounds; a depth still rising in the last round
+    # leaves every group on or above a cycle at the top depth, len(groups).
+    depth = prev = [0] * len(groups)
+    for _ in groups:
+        prev, depth = depth, [max((depth[b] + 1 for b in bs), default=0) for bs in below]
+    if depth != prev:
+        violations.append("cycle detected in majorization relations")
 
-    def depth_of(a, stack):
-        if depth[a] is not None:
-            return depth[a]
-        if a in stack:
-            violations.append("cycle detected in majorization relations")
-            return 0
-        stack.add(a)
-        below = [depth_of(b, stack) for b in range(ngroups) if grel[a][b] is Relation.MAJORIZES]
-        stack.discard(a)
-        depth[a] = 1 + max(below) if below else 0
-        return depth[a]
-
-    for a in range(ngroups):
-        depth_of(a, set())
-
-    layers: list[list[tuple[str, ...]]] = []
-    for d in sorted(set(depth)):
-        layer = [tuple(names[i] for i in groups[a]) for a in range(ngroups) if depth[a] == d]
-        for x in range(len(layer)):
-            for y in range(x + 1, len(layer)):
-                a = names.index(layer[x][0])
-                b = names.index(layer[y][0])
-                if rel[a][b] is not Relation.INCOMPARABLE:
-                    violations.append(
-                        f"layering: {layer[x][0]} and {layer[y][0]} share a layer but are not incomparable")
-        layers.append(layer)
-
-    result_layers = tuple(tuple(layer) for layer in layers)
+    layers = tuple(tuple(tuple(names[i] for i in g) for g, dg in zip(groups, depth) if dg == d)
+                   for d in sorted(set(depth)))
     return PartialOrderResult(
         names=tuple(names),
         matrix=tuple(tuple(row) for row in matrix),
-        layers=result_layers,
-        chain=render_chain(result_layers),
+        layers=layers,
+        chain=render_chain(layers),
         violations=tuple(violations),
         curves=tuple(curves),
     )
-
-
-def t_transform(dist: DiscreteDistribution, i: int, j: int, lam: float) -> DiscreteDistribution:
-    """Mix components i and j (0-based): (p_i, p_j) -> ((1-l) p_i + l p_j, l p_i + (1-l) p_j).
-
-    The result is majorized by the input for any l in [0, 1], and stores every pixel
-    (repeat 1) whatever the input's storage.
-    """
-    n = dist.n_pixels
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"indices out of range for {n} pixels: ({i}, {j})")
-    if i == j:
-        raise ValueError("t_transform needs two distinct indices")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {lam!r}")
-    p = dist.p.copy()
-    pi, pj = p[i], p[j]
-    p[i] = (1.0 - lam) * pi + lam * pj
-    p[j] = lam * pi + (1.0 - lam) * pj
-    p.flags.writeable = False  # a fresh array nobody else holds: kept, not copied
-    return DiscreteDistribution(values=p, raw_mass=dist.raw_mass)
-
-
-def permutation_mix(dist: DiscreteDistribution,
-                    perms: Sequence[np.ndarray],
-                    weights: Sequence[float]) -> DiscreteDistribution:
-    """Weighted average of permuted copies: p~ = sum_j w_j p[perm_j].
-
-    Every convex permutation mixture is majorized by the input.  The result stores
-    every pixel (repeat 1) whatever the input's storage.
-    """
-    n = dist.n_pixels
-    w = np.asarray(weights, dtype=float)
-    if len(perms) != w.size:
-        raise ValueError("need one weight per permutation")
-    if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-12:
-        raise ValueError("weights must be nonnegative and sum to 1")
-    out = np.zeros(n)
-    for perm, wj in zip(perms, w):
-        perm = np.asarray(perm)
-        if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {perm!r}")
-        out += wj * dist.p[perm]
-    out.flags.writeable = False  # a fresh array nobody else holds: kept, not copied
-    return DiscreteDistribution(values=out, raw_mass=dist.raw_mass)

@@ -104,21 +104,10 @@ def q_analytic(family: AnalyticQFamily, omega: Direction):
     return _scalarize(q)
 
 
-def is_phi_independent(obj: PolState) -> bool:
-    """Whether Q of obj is the same at every azimuth: an analytic family, a pure state
-    with a single nonzero amplitude (|c_m e^{i m phi}| does not vary with phi), or a
-    mixture of such states."""
-    if isinstance(obj, AnalyticQFamily):
-        return True
-    if isinstance(obj, PureFockState):
-        return np.count_nonzero(obj.amps) == 1
-    if isinstance(obj, MixedState):
-        return all(is_phi_independent(s) for _, s in obj.components)
-    return False
-
-
 def q_on_grid(obj: PolState, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Q on the outer-product grid thetas x phis, shape (len(thetas), len(phis)).
+    """Q on the outer-product grid thetas x phis: shape (len(thetas), 1) when Q does
+    not depend on phi (an analytic family, a pure state with a single nonzero
+    amplitude, or a mixture of those), otherwise (len(thetas), len(phis)).
 
     Equivalent to pointwise evaluation but factorizes the theta-only coefficients
     from the azimuthal phases, which is what makes fine grids cheap.
@@ -128,11 +117,12 @@ def q_on_grid(obj: PolState, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray
     _check_theta(thetas)
     if isinstance(obj, PureFockState):
         m, coeff = _coefficients(obj, thetas)        # (T, M) over the M nonzero amplitudes
+        if m.size == 1:                              # |c_m e^{i m phi}| does not vary with phi
+            phis = phis[:1]
         phases = np.exp(1j * np.outer(m, phis))      # (M, P)
         return (obj.n + 1) / (4.0 * np.pi) * np.abs(coeff @ phases) ** 2
     if isinstance(obj, MixedState):
         return sum(w * q_on_grid(s, thetas, phis) for w, s in obj.components)
     if isinstance(obj, AnalyticQFamily):
-        q = q_analytic(obj, Direction(thetas, 0.0))
-        return np.broadcast_to(np.asarray(q)[:, None], (thetas.size, phis.size))
+        return q_analytic(obj, Direction(thetas[:, None], 0.0))
     raise TypeError(f"no Q evaluator for {type(obj).__name__}")

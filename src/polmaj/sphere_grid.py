@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qfunction import Direction, PolState, is_phi_independent, q_on_grid
+from .qfunction import Direction, PolState, q_on_grid
 
 
 class EvaluationError(ValueError):
@@ -61,6 +61,12 @@ class GridSpec:
 DEFAULT_GRID = GridSpec(400, 400)
 
 
+def _check_repeat(repeat) -> int:
+    if isinstance(repeat, bool) or not isinstance(repeat, numbers.Integral) or repeat < 1:
+        raise ValueError(f"repeat must be a positive integer, got {repeat!r}")
+    return int(repeat)
+
+
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Pixel probabilities (unit sum) plus the pre-normalization mass diagnostic.
@@ -75,10 +81,8 @@ class DiscreteDistribution:
     repeat: int = 1
 
     def __post_init__(self):
+        repeat = _check_repeat(self.repeat)
         values = owned_read_only(self.values)
-        repeat = self.repeat
-        if isinstance(repeat, bool) or not isinstance(repeat, numbers.Integral) or repeat < 1:
-            raise ValueError(f"repeat must be a positive integer, got {repeat!r}")
         if values.ndim != 1 or values.size < 1:
             raise ValueError("values must be a nonempty 1-d array")
         if np.any(values < 0) or not np.all(np.isfinite(values)):
@@ -88,13 +92,15 @@ class DiscreteDistribution:
             raise ValueError(f"pixel probabilities must sum to 1, got {total!r}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "raw_mass", float(self.raw_mass))
-        object.__setattr__(self, "repeat", int(repeat))
+        object.__setattr__(self, "repeat", repeat)
 
     @classmethod
     def from_weights(cls, weights, repeat: int = 1) -> "DiscreteDistribution":
         """Normalize nonnegative weights, each standing for `repeat` pixels, to unit
         sum, keeping their total as raw_mass.  Non-finite, negative or all-zero
-        weights, or weights whose total overflows, raise EvaluationError."""
+        weights, or weights whose total overflows, raise EvaluationError; a repeat
+        that is not a positive integer raises a plain ValueError first."""
+        repeat = _check_repeat(repeat)
         w = np.asarray(weights, dtype=float)
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise EvaluationError("pixel weights must be finite and >= 0")
@@ -157,9 +163,7 @@ def grid_directions(spec: GridSpec) -> Direction:
 def discretize_state(obj: PolState, spec: GridSpec) -> DiscreteDistribution:
     """Q sampled at the pixel centers, weighted by 4 pi / N and renormalized to unit
     sum; raw_mass keeps the total before normalization as a sampling diagnostic.
-    A phi-independent Q is sampled on one sector and repeated over all n_phi."""
-    phis, repeat = sector_phis(spec), 1
-    if is_phi_independent(obj):
-        phis, repeat = phis[:1], spec.n_phi
-    q = q_on_grid(obj, band_thetas(spec), phis)
-    return DiscreteDistribution.from_weights((q * spec.pixel_solid_angle).ravel(), repeat=repeat)
+    A phi-independent Q comes back on one sector and is repeated over all n_phi."""
+    q = q_on_grid(obj, band_thetas(spec), sector_phis(spec))
+    return DiscreteDistribution.from_weights((q * spec.pixel_solid_angle).ravel(),
+                                             repeat=spec.n_phi if q.shape[1] == 1 else 1)

@@ -3,7 +3,7 @@
 A pure state of n photons shared by two field modes lives in the (n+1)-dimensional
 span of the product number states |m, n-m>, m = 0..n.  Amplitudes are indexed by m,
 the photon number in mode 1.  States are treated as equivalence classes up to a
-global phase; use `state_overlap` moduli for equality checks, not componentwise
+global phase; compare overlap moduli |<a|b>| for equality, not componentwise
 amplitudes.
 """
 
@@ -169,13 +169,6 @@ def random_pure(n: int, seed) -> PureFockState:
     return PureFockState(n=n, amps=z / np.linalg.norm(z))
 
 
-def state_overlap(a: PureFockState, b: PureFockState) -> complex:
-    """<a|b>; zero when the photon numbers differ."""
-    if a.n != b.n:
-        return 0.0 + 0.0j
-    return complex(np.vdot(a.amps, b.amps))
-
-
 def wigner_d_matrix(n: int, beta: float) -> np.ndarray:
     """Wigner little-d matrix for j = n/2 in two-mode index convention.
 
@@ -215,41 +208,3 @@ def apply_su2(state: PureFockState, rot: EulerRotation) -> PureFockState:
     out = big_d @ state.amps
     # renormalize away rounding drift; the map is unitary
     return PureFockState(n=n, amps=out / np.linalg.norm(out))
-
-
-def _su2_2x2(rot: EulerRotation) -> np.ndarray:
-    a, b, g = rot.alpha, rot.beta, rot.gamma
-    ry = np.array([[np.cos(b / 2), -np.sin(b / 2)], [np.sin(b / 2), np.cos(b / 2)]])
-    za = np.diag([np.exp(-1j * a / 2), np.exp(1j * a / 2)])
-    zg = np.diag([np.exp(-1j * g / 2), np.exp(1j * g / 2)])
-    return za @ ry @ zg
-
-
-def _wrap_angle(x: float) -> float:
-    y = (x + np.pi) % (2 * np.pi) - np.pi
-    return np.pi if y == -np.pi else y
-
-
-def compose_rotations(second: EulerRotation, first: EulerRotation) -> EulerRotation:
-    """Euler angles of `second` applied after `first` (matrix product R2 R1)."""
-    u = _su2_2x2(second) @ _su2_2x2(first)
-    beta = 2.0 * np.arctan2(abs(u[1, 0]), abs(u[0, 0]))
-    if abs(u[1, 0]) < 1e-14:      # beta ~ 0: only alpha+gamma is defined
-        return EulerRotation(_wrap_angle(2.0 * np.angle(u[1, 1])), 0.0, 0.0)
-    if abs(u[0, 0]) < 1e-14:      # beta ~ pi: only alpha-gamma is defined
-        return EulerRotation(_wrap_angle(2.0 * np.angle(u[1, 0])), np.pi, 0.0)
-    alpha = np.angle(u[1, 1]) + np.angle(u[1, 0])
-    gamma = np.angle(u[1, 1]) - np.angle(u[1, 0])
-    return EulerRotation(_wrap_angle(alpha), float(beta), _wrap_angle(gamma))
-
-
-def rotation_matrix(rot: EulerRotation) -> np.ndarray:
-    """SO(3) matrix Rz(alpha) Ry(beta) Rz(gamma) acting on Poincare-sphere vectors."""
-
-    def rz(t):
-        return np.array([[np.cos(t), -np.sin(t), 0.0], [np.sin(t), np.cos(t), 0.0], [0.0, 0.0, 1.0]])
-
-    def ry(t):
-        return np.array([[np.cos(t), 0.0, np.sin(t)], [0.0, 1.0, 0.0], [-np.sin(t), 0.0, np.cos(t)]])
-
-    return rz(rot.alpha) @ ry(rot.beta) @ rz(rot.gamma)

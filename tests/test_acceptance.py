@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 
 from polmaj import (ALPHA_SWEEP, DEFAULT_TOL, RENYI_Q_SWEEP, GridSpec, Relation,
-                    compare, confidence_interval, lorenz, permutation_mix, random_pure,
-                    renyi, t_transform)
+                    compare, confidence_interval, lorenz, random_pure, renyi)
 from polmaj.cli import main
 from polmaj.sphere_grid import DiscreteDistribution, discretize_state
 
 from conftest import DEFAULT_GRID, DOUBLED_GRID
+from oracles import permutation_mix, t_transform
 
 TOL_SWEEP = (1e-4, 1e-2)
 

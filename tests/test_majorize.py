@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polmaj import (DiscreteDistribution, GridSpec, LorenzCurve, Relation, Verdict, compare,
-                    discretize_state, lorenz, make_analytic, partial_order, permutation_mix,
-                    render_chain, t_transform)
+                    discretize_state, lorenz, make_analytic, partial_order, render_chain)
+
+from oracles import permutation_mix, t_transform
 
 
 def dist(*values):
@@ -327,6 +328,64 @@ class TestPartialOrder:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             partial_order([("a", dist(0.5, 0.5)), ("a", dist(0.6, 0.4))])
+
+    @staticmethod
+    def order_percent(*weights, tol=0.05):
+        return partial_order([(name, dist_from_ints(w)) for name, w in zip("abc", weights)], tol)
+
+    def test_equal_chain_forms_one_group(self):
+        # b majorizes a by 0.06, but each ties with c, the last item: one group
+        res = self.order_percent((25, 75), (19, 81), (22, 78))
+        assert res.matrix[1][0].relation is Relation.MAJORIZES
+        assert res.layers == ((("a", "b", "c"),),)
+
+    def test_transitivity_violation(self):
+        res = self.order_percent((59, 33, 8), (67, 20, 13), (48, 46, 6))
+        assert res.chain == "c ≺ a ≺ b"
+        assert res.violations == (
+            "transitivity: b majorizes a majorizes c, but b vs c is incomparable",)
+
+    def test_equal_group_consistency_violation(self):
+        # a and b tie within tol, but c majorizes b and is incomparable to a
+        res = self.order_percent((48, 44, 8), (53, 34, 13), (59, 26, 15))
+        assert res.chain == "a≡b ⋈ c"
+        assert res.violations == (
+            "equal-group consistency: members of {a,b} relate differently to {c}",
+            "equal-group consistency: members of {c} relate differently to {a,b}")
+
+    def test_cycle_shares_the_top_layer(self):
+        # a majorizes b majorizes c majorizes a within tol: every group on the cycle
+        # sits in one top layer, and the cycle is reported once
+        res = self.order_percent((43, 27, 17, 13), (37, 36, 17, 10), (40, 27, 26, 7))
+        assert res.chain == "a ⋈ b ⋈ c"
+        assert res.violations == (
+            "transitivity: a majorizes b majorizes c, but a vs c is majorized_by",
+            "transitivity: b majorizes c majorizes a, but b vs a is majorized_by",
+            "transitivity: c majorizes a majorizes b, but c vs b is majorized_by",
+            "cycle detected in majorization relations")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda k: st.lists(
+               st.lists(st.integers(0, 100), min_size=k, max_size=k).filter(lambda w: sum(w) > 0),
+               min_size=1, max_size=6)),
+           st.sampled_from([0.0, 1e-2, 5e-2]))
+    def test_layers_follow_the_relations(self, weights, tol):
+        # without a cycle, groups in one layer are incomparable, and a group that
+        # majorizes another sits in a later layer; each group is read through its
+        # first member, as the layering reads it
+        names = [f"d{i}" for i in range(len(weights))]
+        res = partial_order([(name, dist_from_ints(w)) for name, w in zip(names, weights)], tol)
+        assert sorted(name for layer in res.layers for group in layer for name in group) == names
+        if any("cycle" in v for v in res.violations):
+            return
+        firsts = [(x, names.index(group[0])) for x, layer in enumerate(res.layers) for group in layer]
+        for x, i in firsts:
+            for y, j in firsts:
+                relation = res.matrix[i][j].relation
+                if i != j and x == y:
+                    assert relation is Relation.INCOMPARABLE
+                if relation is Relation.MAJORIZES:
+                    assert x > y
 
 
 class TestExtremes:

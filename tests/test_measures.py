@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from polmaj import (ALPHA_SWEEP, RENYI_Q_SWEEP, DiscreteDistribution, GridSpec, Relation,
                     compare, confidence_interval, discretize_state, lorenz, make_analytic,
-                    make_noon, renyi, t_transform)
+                    make_noon, renyi)
+
+from oracles import t_transform
 
 
 def dist(*values):

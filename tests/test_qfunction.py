@@ -6,7 +6,9 @@ import pytest
 from polmaj import (Direction, EulerRotation, GridSpec, MixedState, PureFockState,
                     apply_su2, discretize_state, make_analytic, make_coherent,
                     make_noon, make_phase, make_squeezed, q_analytic, q_mixed,
-                    q_on_grid, q_pure, random_pure, rotation_matrix, su2_overlap)
+                    q_on_grid, q_pure, random_pure, su2_overlap)
+
+from oracles import rotation_matrix
 
 FOUR_PI = 4.0 * math.pi
 
@@ -190,12 +192,14 @@ class TestNormalizationAndDispatch:
     def test_q_on_grid_matches_pointwise(self):
         thetas = np.linspace(0.05, np.pi - 0.05, 6)
         phis = np.linspace(-np.pi, np.pi, 5)
-        for obj, oracle in ((random_pure(5, seed=4), q_pure),
-                            (MixedState(components=((0.3, make_coherent(2)), (0.7, make_noon(3)))),
-                             q_mixed),
-                            (make_analytic("thermal", 4.0), q_analytic)):
+        # a phi-independent Q comes back on one sector: (T, 1), otherwise (T, P)
+        for obj, oracle, n_phi in ((random_pure(5, seed=4), q_pure, 5),
+                                   (MixedState(components=((0.3, make_coherent(2)),
+                                                           (0.7, make_noon(3)))), q_mixed, 5),
+                                   (make_analytic("thermal", 4.0), q_analytic, 1)):
             grid_vals = q_on_grid(obj, thetas, phis)
-            assert grid_vals.shape == (6, 5)
+            assert grid_vals.shape == (6, n_phi)
+            grid_vals = np.broadcast_to(grid_vals, (6, 5))
             for i in range(6):
                 for j in range(5):
                     assert grid_vals[i, j] == pytest.approx(
@@ -212,6 +216,8 @@ class TestNormalizationAndDispatch:
         for state, thetas, closed in cases:
             expect = np.broadcast_to(closed(thetas)[:, None], (thetas.size, phis.size))
             assert np.all(expect > 0)
-            np.testing.assert_allclose(q_on_grid(state, thetas, phis), expect, rtol=1e-12, atol=0)
+            q = q_on_grid(state, thetas, phis)
+            assert q.shape == (thetas.size, 1)
+            np.testing.assert_allclose(np.broadcast_to(q, expect.shape), expect, rtol=1e-12, atol=0)
             np.testing.assert_allclose(q_pure(state, Direction(thetas[:, None], phis)), expect,
                                        rtol=1e-12, atol=0)

@@ -8,7 +8,7 @@ import pytest
 from polmaj import (ALPHA_SWEEP, RENYI_Q_SWEEP, AnalyticQFamily, DiscreteDistribution,
                     EulerRotation, EvaluationError, GridSpec, MixedState, PureFockState,
                     apply_su2, band_thetas, confidence_interval, discretize_state,
-                    grid_directions, lorenz, make_analytic, make_coherent, make_phase,
+                    grid_directions, lorenz, make_analytic, make_coherent, make_noon, make_phase,
                     q_analytic, q_mixed, q_pure, random_pure, renyi, sector_phis)
 from polmaj.cli import parse_state_spec
 
@@ -192,6 +192,13 @@ class TestDiscreteDistribution:
         with pytest.raises(EvaluationError, match="vanish"):
             DiscreteDistribution.from_weights([0.0, 0.0], repeat=3)
 
+    @pytest.mark.parametrize("repeat", [0, -2, 2.5, True, 1e400])
+    def test_from_weights_rejects_bad_repeat(self, repeat):
+        # repeat is checked before it scales the total, by the rule the constructor applies
+        with pytest.raises(ValueError, match="repeat must be a positive integer") as err:
+            DiscreteDistribution.from_weights([1.0, 1.0], repeat=repeat)
+        assert not isinstance(err.value, EvaluationError)
+
     def test_from_weights(self):
         d = DiscreteDistribution.from_weights([2.0, 6.0])
         assert np.allclose(d.p, [0.25, 0.75])
@@ -263,6 +270,15 @@ class TestRepeatedStorage:
         spec = GridSpec(7, 13)
         d = discretize_state(obj, spec)
         assert d.repeat == 1 and d.values.size == spec.n_pixels
+
+    def test_mixture_with_a_phi_dependent_component_keeps_every_pixel(self):
+        obj = MixedState(components=((0.3, make_coherent(2)), (0.7, make_noon(3))))
+        spec = GridSpec(7, 13)
+        d = discretize_state(obj, spec)
+        assert d.repeat == 1 and d.values.size == spec.n_pixels
+        p, raw_mass = dense_oracle(obj, spec)
+        np.testing.assert_allclose(d.p, p, rtol=1e-12, atol=0.0)
+        assert d.raw_mass == pytest.approx(raw_mass, rel=1e-12)
 
     def test_measures_and_curve_do_not_build_p(self):
         d = discretize_state(make_analytic("thermal", 10.0), GridSpec(40, 50))

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polmaj import (EulerRotation, GridSpec, MixedState, PureFockState, apply_su2,
-                    compose_rotations, discretize_state, lorenz, make_analytic,
-                    make_coherent, make_hs_extremal, make_noon, make_phase,
-                    make_squeezed, random_pure, rotation_matrix, state_overlap,
-                    wigner_d_matrix)
+                    discretize_state, lorenz, make_analytic, make_coherent, make_hs_extremal,
+                    make_noon, make_phase, make_squeezed, random_pure, wigner_d_matrix)
+
+from oracles import compose_rotations, rotation_matrix, state_overlap
 
 R2 = 1.0 / math.sqrt(2.0)
 
