@@ -23,6 +23,10 @@ from .sphere_grid import DiscreteDistribution, owned_read_only
 # built-in state comparisons (~1.6e-2).
 DEFAULT_TOL = 1e-3
 
+# LorenzCurve checks S_k in windows of this many increments, so its temporaries
+# stay in cache whatever N is.
+_BLOCK = 1 << 15
+
 
 class Relation(Enum):
     EQUAL = "equal"
@@ -67,12 +71,24 @@ class LorenzCurve:
         s = owned_read_only(self.s)
         if s.ndim != 1 or s.size < 1:
             raise ValueError("S_k must be a nonempty 1-d array")
-        inc = np.diff(np.concatenate(([0.0], s)))
-        if np.any(inc < 0):
-            raise ValueError("S_k must be nondecreasing")
-        if np.any(np.diff(inc) > 1e-12):
+        # increments and their differences in one pass over cache-sized windows that
+        # overlap by two values, so each difference is taken once; every test is
+        # written so that NaN fails it, and the messages keep their whole-curve order
+        concave = True
+        with np.errstate(invalid="ignore", over="ignore"):
+            if not s[0] >= 0.0:                      # the first increment, S_1 - S_0
+                raise ValueError("S_k must be nondecreasing")
+            if s.size > 1:
+                concave = (s[1] - s[0]) - s[0] <= 1e-12
+            for start in range(0, s.size - 1, _BLOCK):
+                inc = np.diff(s[start:start + _BLOCK + 2])
+                if not inc.min() >= 0.0:
+                    raise ValueError("S_k must be nondecreasing")
+                if concave and inc.size > 1:
+                    concave = np.diff(inc).max() <= 1e-12
+        if not concave:
             raise ValueError("S_k increments must be nonincreasing (source sorted descending)")
-        if abs(s[-1] - 1.0) > 1e-12:
+        if not abs(s[-1] - 1.0) <= 1e-12:
             raise ValueError(f"S_N must equal 1, got {s[-1]!r}")
         object.__setattr__(self, "s", s)
 
@@ -196,6 +212,14 @@ def partial_order(items: Sequence[tuple[str, DiscreteDistribution]],
     for _ in range(n):
         label = [min(label[j] for j in range(n) if rel[i][j] is Relation.EQUAL) for i in range(n)]
     groups = [[i for i in range(n) if label[i] == r] for r in range(n) if label[r] == r]
+    # Equal is not transitive under tol: a group can hold a pair that is not Equal
+    for g in groups:
+        for x, i in enumerate(g):
+            for j in g[x + 1:]:
+                if rel[i][j] is not Relation.EQUAL:
+                    violations.append(
+                        f"equal-group consistency: {names[i]} and {names[j]} share a group, "
+                        f"but {names[i]} vs {names[j]} is {rel[i][j].value}")
     below: list[list[int]] = [[] for _ in groups]
     for a, ga in enumerate(groups):
         for b, gb in enumerate(groups):

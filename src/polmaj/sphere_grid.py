@@ -85,7 +85,7 @@ class DiscreteDistribution:
         values = owned_read_only(self.values)
         if values.ndim != 1 or values.size < 1:
             raise ValueError("values must be a nonempty 1-d array")
-        if np.any(values < 0) or not np.all(np.isfinite(values)):
+        if not (values.min() >= 0.0 and values.max() < math.inf):
             raise ValueError("pixel probabilities must be finite and >= 0")
         total = float(values.sum()) * repeat
         if abs(total - 1.0) > 1e-12:
@@ -102,7 +102,7 @@ class DiscreteDistribution:
         that is not a positive integer raises a plain ValueError first."""
         repeat = _check_repeat(repeat)
         w = np.asarray(weights, dtype=float)
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
+        if w.size and not (w.min() >= 0.0 and w.max() < math.inf):
             raise EvaluationError("pixel weights must be finite and >= 0")
         with np.errstate(over="ignore"):  # an infinite total is reported just below
             total = float(w.sum()) * repeat
@@ -129,14 +129,27 @@ class DiscreteDistribution:
 
     @cached_property
     def descending_cumsum(self) -> np.ndarray:
-        """S_k: p sorted in decreasing order and accumulated, read-only, with S_N pinned
-        to 1 against the drift of a long sum.  Sorted once, on first use, and over
-        `values` alone, so a repeated distribution sorts one value per run."""
+        """S_k: p sorted in decreasing order and accumulated, read-only, ending at
+        exactly 1.  Sorted once, on first use, and over `values` alone.
+
+        A repeated distribution is built from its runs: with desc the sorted values
+        and E = cumsum(desc * repeat) the run ends, pixel i of run j has
+        S = E[j-1] + i * desc[j].  The last pixel of each run is E[j] bit for bit,
+        so the curve is nondecreasing and S_N = E[-1] / E[-1] = 1; every S_k is
+        within a few ulp of the exact sum, where a sequential sum over N pixels
+        drifts by ~1e-12 at N = 1200^2.
+        """
         desc = np.sort(self.values)[::-1]
-        if self.repeat > 1:  # np.repeat copies even at 1: no N-sized temporary there
-            desc = np.repeat(desc, self.repeat)
-        s = np.cumsum(desc)
-        s /= s[-1]
+        if self.repeat == 1:
+            s = np.cumsum(desc)
+            s /= s[-1]
+        else:
+            ends = np.cumsum(desc * self.repeat)
+            runs = desc[:, None] * np.arange(1, self.repeat + 1, dtype=float)
+            runs[1:] += ends[:-1, None]
+            # divided out of the scratch into a fresh array: filling the result in
+            # place, with no scratch, raised perfbench fine-grid's peak RSS by 14 %
+            s = runs.ravel() / ends[-1]
         s.flags.writeable = False
         return s
 

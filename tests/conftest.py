@@ -1,5 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
+
+# Hypothesis imports libcst to explain a failing property, and libcst's import
+# raises a DeprecationWarning that the suite's filterwarnings = ["error"] turns into
+# an INTERNALERROR hiding the falsifying example.  Importing it here first, with
+# that warning ignored, lets the report print.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 from polmaj import DiscreteDistribution, GridSpec, discretize_state, lorenz
 from polmaj.cli import parse_state_spec

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import polmaj.majorize as majmod
 from polmaj import (DiscreteDistribution, GridSpec, LorenzCurve, Relation, Verdict, compare,
                     discretize_state, lorenz, make_analytic, partial_order, render_chain)
 
@@ -70,6 +71,84 @@ class TestLorenz:
             LorenzCurve(s=np.array([0.2, 0.9, 1.0]))       # increments grow
         with pytest.raises(ValueError):
             LorenzCurve(s=np.array([0.5, 0.8, 0.9]))       # endpoint != 1
+
+    @pytest.mark.parametrize("s", [[math.nan, 0.5, 1.0], [0.5, math.nan, 1.0],
+                                   [0.5, 0.8, math.nan], [0.5, math.inf, 1.0],
+                                   [0.5, -math.inf, 1.0], [-math.inf, 0.5, 1.0]],
+                             ids=["nan-start", "nan-middle", "nan-end", "inf", "-inf",
+                                  "-inf-start"])
+    def test_rejects_non_finite_values(self, s):
+        with pytest.raises(ValueError, match="S_k must be nondecreasing"):
+            LorenzCurve(s=np.array(s))
+
+    def test_rejects_infinite_end(self):
+        with pytest.raises(ValueError, match="S_k increments must be nonincreasing"):
+            LorenzCurve(s=np.array([0.5, 0.8, math.inf]))
+
+    @staticmethod
+    def straight(n):
+        """The uniform curve k/n, which passes every check."""
+        return np.arange(1, n + 1) / n
+
+    @pytest.mark.parametrize("at", [-1, 0, 1, 2])
+    def test_checks_carry_across_blocks(self, at):
+        # faults at and around the boundary between the first two blocks
+        k = majmod._BLOCK + at
+        s = self.straight(3 * majmod._BLOCK)
+        s[k] = s[k - 1]                                   # a zero increment, then a double one
+        with pytest.raises(ValueError, match="increments must be nonincreasing"):
+            LorenzCurve(s=s)
+        s = self.straight(3 * majmod._BLOCK)
+        s[k] = s[k - 1] - 1e-9
+        with pytest.raises(ValueError, match="S_k must be nondecreasing"):
+            LorenzCurve(s=s)
+        s[k] = math.nan
+        with pytest.raises(ValueError, match="S_k must be nondecreasing"):
+            LorenzCurve(s=s)
+
+    def test_decrease_in_a_later_block_reported_first(self):
+        # the messages keep their order over the whole curve, not block by block
+        s = self.straight(3 * majmod._BLOCK)
+        s[5] = s[4]
+        s[2 * majmod._BLOCK + 5] = s[2 * majmod._BLOCK + 4] - 1e-9
+        with pytest.raises(ValueError, match="S_k must be nondecreasing"):
+            LorenzCurve(s=s)
+
+    @staticmethod
+    def whole_curve_fault(s):
+        """The first check an array fails, read over the whole array at once."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            inc = np.diff(np.concatenate(([0.0], s)))
+            second = np.diff(inc)
+        if np.isnan(inc).any() or (inc < 0).any():
+            return "S_k must be nondecreasing"
+        if np.isnan(second).any() or (second > 1e-12).any():
+            return "S_k increments must be nonincreasing"
+        if not abs(s[-1] - 1.0) <= 1e-12:
+            return "S_N must equal 1"
+        return None
+
+    @settings(max_examples=300, deadline=None)
+    @given(weights_strategy, st.integers(0, 9),
+           st.sampled_from([None, ("set", math.nan), ("set", math.inf), ("set", -math.inf),
+                            ("set", 0.0), ("set", 1.0), ("add", 1e-9), ("add", -1e-9),
+                            ("add", 0.3)]),
+           st.sampled_from([1, 2, 3, 7]))
+    def test_blocked_checks_match_whole_curve(self, w, at, fault, block):
+        s = np.cumsum(np.sort(np.asarray(w, dtype=float))[::-1])
+        s /= s[-1]
+        if fault is not None:
+            how, x = fault
+            at %= s.size
+            s[at] = x if how == "set" else s[at] + x
+        expected = self.whole_curve_fault(s)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(majmod, "_BLOCK", block)
+            if expected is None:
+                LorenzCurve(s=s)
+            else:
+                with pytest.raises(ValueError, match=expected):
+                    LorenzCurve(s=s)
 
 
 class TestCompare:
@@ -353,6 +432,15 @@ class TestPartialOrder:
             "equal-group consistency: members of {a,b} relate differently to {c}",
             "equal-group consistency: members of {c} relate differently to {a,b}")
 
+    def test_unequal_pair_inside_a_group(self):
+        # b majorizes a by just over tol, but c ties with both: one group, and the
+        # unequal pair inside it is reported
+        res = self.order_percent((1, 3), (1, 4), (3, 10))
+        assert res.chain == "a≡b≡c"
+        assert res.matrix[1][0].relation is Relation.MAJORIZES
+        assert res.violations == (
+            "equal-group consistency: a and b share a group, but a vs b is majorized_by",)
+
     def test_cycle_shares_the_top_layer(self):
         # a majorizes b majorizes c majorizes a within tol: every group on the cycle
         # sits in one top layer, and the cycle is reported once
@@ -369,13 +457,20 @@ class TestPartialOrder:
                st.lists(st.integers(0, 100), min_size=k, max_size=k).filter(lambda w: sum(w) > 0),
                min_size=1, max_size=6)),
            st.sampled_from([0.0, 1e-2, 5e-2]))
+    @example(weights=[[1, 3], [1, 4], [3, 10]], tol=5e-2)
     def test_layers_follow_the_relations(self, weights, tol):
         # without a cycle, groups in one layer are incomparable, and a group that
         # majorizes another sits in a later layer; each group is read through its
-        # first member, as the layering reads it
+        # first member, as the layering reads it.  Without any violation, every pair
+        # inside a group is Equal.
         names = [f"d{i}" for i in range(len(weights))]
         res = partial_order([(name, dist_from_ints(w)) for name, w in zip(names, weights)], tol)
         assert sorted(name for layer in res.layers for group in layer for name in group) == names
+        if not res.violations:
+            for group in (g for layer in res.layers for g in layer):
+                members = [names.index(name) for name in group]
+                assert all(res.matrix[i][j].relation is Relation.EQUAL
+                           for i in members for j in members)
         if any("cycle" in v for v in res.violations):
             return
         firsts = [(x, names.index(group[0])) for x, layer in enumerate(res.layers) for group in layer]

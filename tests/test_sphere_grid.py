@@ -243,6 +243,8 @@ PHI_INDEPENDENT["dicke-mixture"] = DICKE_MIXTURE
 class TestRepeatedStorage:
     """phi-independent states store one value per band, repeated over every sector."""
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
+                        reason="the curve oracle needs a long double wider than float64")
     @pytest.mark.parametrize("spec", [GridSpec(7, 13), GridSpec(400, 400), GridSpec(1200, 1200)],
                              ids=["7x13", "400^2", "1200^2"])
     @pytest.mark.parametrize("name", list(PHI_INDEPENDENT))
@@ -251,8 +253,10 @@ class TestRepeatedStorage:
         d = discretize_state(obj, spec)
         assert d.repeat == spec.n_phi and d.values.size == spec.n_theta
         p, raw_mass = dense_oracle(obj, spec)
-        s = np.cumsum(np.sort(p)[::-1])
-        s /= s[-1]
+        # prefix sums in long double: a float64 sum over N pixels drifts by ~1e-12
+        # at 1200^2, more than the curve under test
+        s = np.cumsum(np.sort(p)[::-1].astype(np.longdouble))
+        s = (s / s[-1]).astype(float)
         assert d.raw_mass == pytest.approx(raw_mass, rel=1e-12)
         for q in QS:
             assert renyi(d, q) == pytest.approx(oracle_renyi(p, q), rel=1e-12, abs=1e-12)
@@ -260,6 +264,30 @@ class TestRepeatedStorage:
         for alpha in ALPHA_SWEEP:
             assert confidence_interval(d, alpha) == int(np.searchsorted(s, alpha)) + 1
         np.testing.assert_allclose(d.p, p, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("spec", [GridSpec(7, 13), GridSpec(1200, 1200)], ids=["7x13", "1200^2"])
+    @pytest.mark.parametrize("name", list(PHI_INDEPENDENT))
+    def test_curve_built_from_runs(self, name, spec):
+        # each run ends on E_j = cumsum(desc * repeat) bit for bit, so S_N is exactly 1
+        d = discretize_state(PHI_INDEPENDENT[name], spec)
+        s = d.descending_cumsum
+        assert s[-1] == 1.0
+        ends = np.cumsum(np.sort(d.values)[::-1] * d.repeat)
+        assert np.array_equal(s[d.repeat - 1::d.repeat], ends / ends[-1])
+        assert s.flags.owndata and not s.flags.writeable
+        assert lorenz(d).s is s
+
+    def test_curve_of_repeated_storage_allocates_two_copies_at_most(self):
+        # S_k of 1.44M pixels is filled run by run in one scratch array and divided out
+        # of it into the result; the curve checks work in cache-sized windows
+        d = discretize_state(make_analytic("thermal", 10.0), GridSpec(1200, 1200))
+        tracemalloc.start()
+        try:
+            lorenz(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * 8 * d.n_pixels
 
     @pytest.mark.parametrize("obj", [
         parse_state_spec("noon:n=4").obj, parse_state_spec("squeezed:n=5").obj,
