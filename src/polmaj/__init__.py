@@ -3,7 +3,7 @@
 from .majorize import (DEFAULT_TOL, LorenzCurve, PartialOrderResult, Relation, Verdict,
                        compare, lorenz, partial_order, render_chain)
 from .measures import ALPHA_SWEEP, RENYI_Q_SWEEP, confidence_interval, renyi
-from .qfunction import Direction, q_analytic, q_mixed, q_on_grid, q_pure, su2_overlap
+from .qfunction import Direction, q_analytic, q_on_grid
 from .sphere_grid import (DEFAULT_GRID, DiscreteDistribution, EvaluationError, GridSpec,
                           band_thetas, discretize_state, grid_directions, sector_phis)
 from .states import (AnalyticQFamily, EulerRotation, MixedState, PureFockState,
@@ -19,7 +19,6 @@ __all__ = [
     "RENYI_Q_SWEEP", "Relation", "Verdict", "apply_su2", "band_thetas", "compare",
     "confidence_interval", "discretize_state", "grid_directions", "lorenz",
     "make_analytic", "make_coherent", "make_hs_extremal", "make_noon", "make_phase",
-    "make_squeezed", "partial_order", "q_analytic", "q_mixed", "q_on_grid", "q_pure",
-    "random_pure", "render_chain", "renyi", "sector_phis", "su2_overlap",
-    "wigner_d_matrix",
+    "make_squeezed", "partial_order", "q_analytic", "q_on_grid", "random_pure",
+    "render_chain", "renyi", "sector_phis", "wigner_d_matrix",
 ]

@@ -23,7 +23,9 @@ import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .majorize import (DEFAULT_TOL, GLYPHS_ASCII, GLYPHS_UNICODE, PartialOrderResult,
                        Relation, Verdict, partial_order, render_chain)
@@ -227,11 +229,22 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
+# CSV tables are formatted and written this many rows at a time, so the Python
+# objects of only one block of cells are alive at once
+_CSV_BLOCK = 4096
+
+
 def _write(path: Path, fmt: str, comments: Sequence[str], header: Sequence[str],
-           rows: Optional[Callable[[], Iterable]], payload: Optional[Callable[[], dict]]) -> None:
-    """Write `rows()` as CSV under `#` comment lines and a header, or `payload()` as
-    indented JSON, and note the path on stderr.  Only the chosen format's data is built."""
-    data = payload() if fmt == "json" else rows()  # before open: no truncated file on error
+           columns: Optional[Callable[[], Sequence[Sequence]]],
+           payload: Optional[Callable[[], dict]]) -> None:
+    """Write `columns()` (ndarrays, ranges or tuples of one length) as CSV under `#`
+    comment lines and a header, or `payload()` as indented JSON, and note the path on
+    stderr.  Only the chosen format's data is built, and it is built and checked
+    before the file is opened, so an error leaves no truncated file.  Each cell is
+    written as str(value), one block of rows per write call."""
+    data = payload() if fmt == "json" else columns()
+    if fmt == "csv" and len({len(col) for col in data}) != 1:
+        raise ValueError("CSV columns must have one length")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if fmt == "json":
             json.dump(data, fh, indent=1)
@@ -240,28 +253,34 @@ def _write(path: Path, fmt: str, comments: Sequence[str], header: Sequence[str],
             for line in comments:
                 fh.write(f"# {line}\n")
             fh.write(",".join(header) + "\n")
-            for row in data:
-                fh.write(",".join(map(str, row)) + "\n")
+            width, n_rows = len(data), len(data[0])
+            row = "%s," * (width - 1) + "%s\n"
+            for start in range(0, n_rows, _CSV_BLOCK):
+                rows = min(_CSV_BLOCK, n_rows - start)
+                flat: list = [None] * (rows * width)     # the block's cells, row-major
+                for t, col in enumerate(data):
+                    part = col[start:start + rows]
+                    flat[t::width] = part.tolist() if isinstance(part, np.ndarray) else part
+                fh.write(row * rows % tuple(flat))
     print(f"wrote {path}", file=sys.stderr)
 
 
-def _lorenz_table(result: PartialOrderResult) -> tuple[list[str], Callable[[], Iterable]]:
-    """Header and lazy rows of the k,S_k_<name>... table: one column per curve."""
+def _lorenz_table(result: PartialOrderResult) -> tuple[list[str], Callable[[], tuple]]:
+    """Header and columns of the k,S_k_<name>... table: one column per curve."""
     return (["k"] + [f"S_k_{name}" for name in result.names],
-            lambda: zip(range(1, result.curves[0].n + 1), *(c.s.tolist() for c in result.curves)))
+            lambda: (range(1, result.curves[0].n + 1), *(c.s for c in result.curves)))
 
 
 def _out_path(cfg: RunConfig, default_stem: str) -> Path:
     return Path(cfg.out) if cfg.out else Path(f"{default_stem}.{cfg.fmt}")
 
 
-def _analyze(specs: Sequence[str], cfg: RunConfig, grid: Optional[GridSpec] = None,
-             use_letter: bool = False):
-    """Parse and label the designators `specs`, then discretize each state on `grid`
-    (the configured grid by default): (parsed states, labels, distributions)."""
+def _analyze(specs: Sequence[str], cfg: RunConfig, use_letter: bool = False):
+    """Parse and label the designators `specs`, then discretize each state on the
+    configured grid: (parsed states, labels, distributions)."""
     parsed = [parse_state_spec(s, cfg.seed) for s in specs]
     labels = assign_labels(parsed, use_letter)
-    grid = grid or cfg.grid
+    grid = cfg.grid
     return parsed, labels, [discretize_state(p.obj, grid) for p in parsed]
 
 
@@ -274,7 +293,7 @@ def cmd_qdist(cfg: RunConfig, args: argparse.Namespace) -> int:
            [f"state={ps.text}", f"n_theta={grid.n_theta}", f"n_phi={grid.n_phi}",
             f"raw_mass={dist.raw_mass!r}"],
            ["j", "theta", "phi", "p"],
-           lambda: zip(range(1, n + 1), omega.theta.tolist(), omega.phi.tolist(), dist.p.tolist()),
+           lambda: (range(1, n + 1), omega.theta, omega.phi, dist.p),
            lambda: {"command": "qdist", "state": ps.text, "grid": asdict(grid),
                     "raw_mass": dist.raw_mass,
                     "pixels": {"j": list(range(1, n + 1)), "theta": omega.theta.tolist(),
@@ -352,12 +371,12 @@ def cmd_reproduce(cfg: RunConfig, args: argparse.Namespace) -> int:
     parsed, labels, dists = _analyze(specs, cfg, use_letter=True)
     grid = cfg.grid
     result = partial_order(list(zip(labels, dists)), cfg.tol)
-    # only the relations of the doubled grid are kept; its distributions and
+    # only the relations of the doubled grid are kept.  Its states stream through
+    # partial_order, so each distribution is freed once its curve exists, and the
     # curves are freed before any output is written
     doubled = GridSpec(2 * grid.n_theta, 2 * grid.n_phi)
-    stable = _relations(result) == _relations(
-        partial_order(list(zip(labels, _analyze(specs, cfg, doubled, use_letter=True)[2])),
-                      cfg.tol))
+    stable = _relations(result) == _relations(partial_order(
+        ((lab, discretize_state(p.obj, doubled)) for p, lab in zip(parsed, labels)), cfg.tol))
     print(render_chain(result.layers, ascii_glyphs=_stdout_glyphs() is GLYPHS_ASCII))
     print(f"doubled-grid stability: {'PASS' if stable else 'FAIL'}")
 
@@ -385,8 +404,8 @@ def cmd_measures(cfg: RunConfig, args: argparse.Namespace) -> int:
            [f"state={ps.text}", f"n_theta={cfg.grid.n_theta}", f"n_phi={cfg.grid.n_phi}",
             f"raw_mass={dist.raw_mass!r}"],
            ["measure", "param", "value"],
-           lambda: ([("renyi", q, v) for q, v in renyi_vals]
-                    + [("confidence", a, k) for a, k in conf_vals]),
+           lambda: tuple(zip(*[("renyi", q, v) for q, v in renyi_vals],
+                             *[("confidence", a, k) for a, k in conf_vals])),
            lambda: {"command": "measures", "state": ps.text, "grid": asdict(cfg.grid),
                     "raw_mass": dist.raw_mass,
                     "renyi": {repr(q): v for q, v in renyi_vals},

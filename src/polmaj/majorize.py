@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -168,10 +168,12 @@ class PartialOrderResult:
     curves: tuple[LorenzCurve, ...]
 
 
-def partial_order(items: Sequence[tuple[str, DiscreteDistribution]],
+def partial_order(items: Iterable[tuple[str, DiscreteDistribution]],
                   tol: float = DEFAULT_TOL) -> PartialOrderResult:
     """Compare each pair of named distributions once and lay out the partial order.
 
+    `items` is read once, in order, and only each distribution's curve is kept, so a
+    generator of distributions holds one of them alive at a time.
     All distributions must share one grid.  Equal items are merged into groups;
     groups are layered by longest majorization chain below them, which reproduces
     presentations like "H < S >< N < P < C".  Inconsistencies (failed
@@ -179,15 +181,19 @@ def partial_order(items: Sequence[tuple[str, DiscreteDistribution]],
     reported in `violations`, not raised; groups on or above a cycle share the
     top layer.
     """
-    names = [name for name, _ in items]
+    _check_tol(tol)
+    names: list[str] = []
+    curves: list[LorenzCurve] = []
+    for name, dist in items:
+        names.append(name)
+        curves.append(lorenz(dist))
+        del dist                    # freed before the next item is built
     if len(set(names)) != len(names):
         raise ValueError("item names must be unique")
-    sizes = {dist.n_pixels for _, dist in items}
+    sizes = {c.n for c in curves}
     if len(sizes) > 1:
         raise ValueError(f"distributions live on different grids: sizes {sorted(sizes)}")
-    _check_tol(tol)
-    curves = [lorenz(dist) for _, dist in items]
-    n = len(items)
+    n = len(names)
     # each unordered pair is compared once; compare(b, a) is exactly compare(a, b).flipped()
     matrix = [[Verdict(Relation.EQUAL)] * n for _ in range(n)]
     for i in range(n):

@@ -6,7 +6,8 @@ coherent state pointing along Omega = (theta, phi).  The coherent-state expansio
 uses the e^{-i m phi} ket convention, so the bra conjugation puts e^{+i m phi}
 into the overlap; the modulus is convention-independent.
 
-All evaluators broadcast over theta/phi arrays.
+q_analytic broadcasts over theta/phi arrays; q_on_grid evaluates any state on
+an outer-product grid of band angles and sector azimuths.
 """
 
 from __future__ import annotations
@@ -63,30 +64,6 @@ def _scalarize(x: np.ndarray):
     return x[()] if x.ndim == 0 else x
 
 
-def su2_overlap(state: PureFockState, omega: Direction):
-    """Overlap <n, Omega | psi> = sum_m sqrt(C(n,m)) sin^(n-m)(t/2) cos^m(t/2) e^{i m phi} c_m,
-    with n = state.n."""
-    theta, phi = np.broadcast_arrays(np.asarray(omega.theta, float), np.asarray(omega.phi, float))
-    _check_theta(theta)
-    m, coeff = _coefficients(state, theta)
-    return _scalarize((coeff * np.exp(1j * m * phi[..., None])).sum(axis=-1))
-
-
-def q_pure(state: PureFockState, omega: Direction):
-    """Q(Omega) = (n+1)/(4 pi) |<n, Omega | psi>|^2, in sr^-1."""
-    amp = su2_overlap(state, omega)
-    return (state.n + 1) / (4.0 * np.pi) * np.abs(amp) ** 2
-
-
-def q_mixed(mixed: MixedState, omega: Direction):
-    """Weighted sum of the components' Q functions.
-
-    Components with different photon numbers contribute independently: the
-    projection onto |n, Omega> picks out each component's own n-block.
-    """
-    return sum(w * q_pure(s, omega) for w, s in mixed.components)
-
-
 def q_analytic(family: AnalyticQFamily, omega: Direction):
     """Closed-form Q for the Glauber-coherent, thermal and two-mode squeezed vacuum
     families at mean total photon number nbar.  All three are phi-independent."""
@@ -120,7 +97,10 @@ def q_on_grid(obj: PolState, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray
         if m.size == 1:                              # |c_m e^{i m phi}| does not vary with phi
             phis = phis[:1]
         phases = np.exp(1j * np.outer(m, phis))      # (M, P)
-        return (obj.n + 1) / (4.0 * np.pi) * np.abs(coeff @ phases) ** 2
+        q = np.abs(coeff @ phases)                   # squared and scaled in place
+        np.square(q, out=q)
+        q *= (obj.n + 1) / (4.0 * np.pi)
+        return q
     if isinstance(obj, MixedState):
         return sum(w * q_on_grid(s, thetas, phis) for w, s in obj.components)
     if isinstance(obj, AnalyticQFamily):

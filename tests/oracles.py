@@ -1,17 +1,20 @@
 """Reference constructions that only the tests use.
 
 Randomization oracles that generate majorized distributions for property tests
-(T-transforms and convex permutation mixtures), and the rotation algebra that
-checks `apply_su2` against composed rotations and sphere rotations.
+(T-transforms and convex permutation mixtures), the rotation algebra that
+checks `apply_su2` against composed rotations and sphere rotations, the pointwise
+Husimi Q that checks `q_on_grid` and `discretize_state`, and the row-wise CSV
+rendering that checks the CLI's block writer.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from polmaj import DiscreteDistribution, EulerRotation, PureFockState
+from polmaj import DiscreteDistribution, Direction, EulerRotation, MixedState, PureFockState
+from polmaj.qfunction import _check_theta, _coefficients, _scalarize
 
 
 def t_transform(dist: DiscreteDistribution, i: int, j: int, lam: float) -> DiscreteDistribution:
@@ -102,3 +105,35 @@ def rotation_matrix(rot: EulerRotation) -> np.ndarray:
         return np.array([[np.cos(t), 0.0, np.sin(t)], [0.0, 1.0, 0.0], [-np.sin(t), 0.0, np.cos(t)]])
 
     return rz(rot.alpha) @ ry(rot.beta) @ rz(rot.gamma)
+
+
+def su2_overlap(state: PureFockState, omega: Direction):
+    """Overlap <n, Omega | psi> = sum_m sqrt(C(n,m)) sin^(n-m)(t/2) cos^m(t/2) e^{i m phi} c_m,
+    with n = state.n, at every point of omega (scalars or broadcastable arrays)."""
+    theta, phi = np.broadcast_arrays(np.asarray(omega.theta, float), np.asarray(omega.phi, float))
+    _check_theta(theta)
+    m, coeff = _coefficients(state, theta)
+    return _scalarize((coeff * np.exp(1j * m * phi[..., None])).sum(axis=-1))
+
+
+def q_pure(state: PureFockState, omega: Direction):
+    """Q(Omega) = (n+1)/(4 pi) |<n, Omega | psi>|^2, in sr^-1."""
+    amp = su2_overlap(state, omega)
+    return (state.n + 1) / (4.0 * np.pi) * np.abs(amp) ** 2
+
+
+def q_mixed(mixed: MixedState, omega: Direction):
+    """Weighted sum of the components' Q functions.
+
+    Components with different photon numbers contribute independently: the
+    projection onto |n, Omega> picks out each component's own n-block.
+    """
+    return sum(w * q_pure(s, omega) for w, s in mixed.components)
+
+
+def csv_text(comments: Sequence[str], header: Sequence[str], rows: Iterable) -> str:
+    """A CSV table rendered one row at a time, each cell as str(value): the text the
+    CLI's block writer must reproduce byte for byte."""
+    lines = [f"# {line}\n" for line in comments] + [",".join(header) + "\n"]
+    lines += [",".join(map(str, row)) + "\n" for row in rows]
+    return "".join(lines)

@@ -3,17 +3,21 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import polmaj
-from polmaj import EvaluationError, GridSpec, Relation, Verdict, discretize_state, lorenz
-from polmaj.cli import (GLYPHS_ASCII, GLYPHS_UNICODE, RunConfig, StateSpecError,
-                        assign_labels, build_config, load_config_file, main,
+from polmaj import (ALPHA_SWEEP, RENYI_Q_SWEEP, EvaluationError, GridSpec, Relation, Verdict,
+                    confidence_interval, discretize_state, grid_directions, lorenz, renyi)
+from polmaj.cli import (FIGURES, GLYPHS_ASCII, GLYPHS_UNICODE, RunConfig, StateSpecError,
+                        _write, assign_labels, build_config, load_config_file, main,
                         make_parser, parse_state_spec, verdict_line)
 from polmaj.states import AnalyticQFamily, PureFockState
+
+from oracles import csv_text
 
 SMALL = ["--n-theta", "100", "--n-phi", "100"]
 
@@ -385,6 +389,21 @@ class TestReproduceCmd:
         assert calls["discretize_state"] == 10      # five states on two grids
         assert calls["lorenz"] == calls["discretize_state"]
 
+    def test_doubled_grid_check_keeps_curves_not_distributions(self, tmp_path, monkeypatch):
+        # the doubled grid's states stream through partial_order, each freed once its
+        # curve exists, and the CSV is formatted one block of rows at a time.  At
+        # 200^2 the traced peak of fig5 is 8.2 doubled-grid curves; it was 11.1 when
+        # all five doubled-grid distributions lived beside their curves
+        monkeypatch.chdir(tmp_path)
+        curve_bytes = 8 * 400 * 400
+        tracemalloc.start()
+        try:
+            assert main(["reproduce", "fig5", "--n-theta", "200", "--n-phi", "200"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9.5 * curve_bytes
+
     def test_unknown_figure_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["reproduce", "fig99"])
@@ -412,6 +431,78 @@ class TestMeasuresCmd:
         payload = json.loads((tmp_path / "m.json").read_text())
         assert set(payload["renyi"]) == {"0.5", "1.0", "2.0", "5.0"}
         assert len(payload["confidence"]) == 19
+
+
+def _dist(spec, grid):
+    return discretize_state(parse_state_spec(spec).obj, grid)
+
+
+def _lorenz_rows(specs, grid):
+    return zip(range(1, grid.n_pixels + 1), *(lorenz(_dist(s, grid)).s.tolist() for s in specs))
+
+
+def _qdist_rows(spec, grid):
+    omega = grid_directions(grid)
+    return zip(range(1, grid.n_pixels + 1), omega.theta.tolist(), omega.phi.tolist(),
+               _dist(spec, grid).p.tolist())
+
+
+def _measures_rows(spec, grid):
+    d = _dist(spec, grid)
+    return ([("renyi", q, renyi(d, q)) for q in RENYI_Q_SWEEP]
+            + [("confidence", a, confidence_interval(d, a)) for a in ALPHA_SWEEP])
+
+
+class TestCsvWriter:
+    # the block writer against the row-at-a-time rendering it replaced, byte for byte
+    @pytest.mark.parametrize("n_rows", [1, 4095, 4096, 2 * 4096 + 5])
+    def test_cells_are_str_of_each_value(self, n_rows, tmp_path, capsys):
+        floats = np.random.default_rng(n_rows).uniform(0.0, 1.0, n_rows) ** 8
+        floats[0], floats[-1] = 1.0, 1.2e-05
+        names = tuple(("renyi", "confidence")[i % 2] for i in range(n_rows))
+        ints = np.arange(n_rows) * 3
+        header, comments = ["k", "measure", "x", "i"], ["state=coherent:n=2", "tol=0.001"]
+        path = tmp_path / "t.csv"
+        _write(path, "csv", comments, header,
+               lambda: (range(1, n_rows + 1), names, floats, ints), None)
+        text = path.read_bytes().decode("utf-8")
+        assert text == csv_text(comments, header,
+                                zip(range(1, n_rows + 1), names, floats.tolist(), ints.tolist()))
+        assert len(text.splitlines()) == len(comments) + 1 + n_rows
+        assert text.endswith(",1.2e-05,%d\n" % (3 * n_rows - 3))
+        assert capsys.readouterr().err == f"wrote {path}\n"
+
+    def test_unequal_columns_leave_no_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="one length"):
+            _write(path, "csv", [], ["a", "b"], lambda: (range(3), np.zeros(2)), None)
+        assert not path.exists()
+
+    # SMALL is 100 x 100 = 10,000 rows: two full 4,096-row blocks and a partial one
+    GRID = GridSpec(100, 100)
+
+    @pytest.mark.parametrize("argv, name, rows", [
+        (["reproduce", "fig7", "--out", "r"], "r_lorenz.csv",
+         lambda g: _lorenz_rows(FIGURES["fig7"], g)),
+        (["reproduce", "fig8", "--out", "r"], "r_lorenz.csv",
+         lambda g: _lorenz_rows(FIGURES["fig8"], g)),
+        (["compare", "squeezed:n=4", "coherent:n=4", "--out", "o.csv"], "o.csv",
+         lambda g: _lorenz_rows(["squeezed:n=4", "coherent:n=4"], g)),
+        (["chain", "noon:n=3", "random:n=3,seed=2", "coherent:n=3", "--out", "o.csv"], "o.csv",
+         lambda g: _lorenz_rows(["noon:n=3", "random:n=3,seed=2", "coherent:n=3"], g)),
+        (["qdist", "random:n=3,seed=5", "--out", "o.csv"], "o.csv",
+         lambda g: _qdist_rows("random:n=3,seed=5", g)),
+        (["measures", "random:n=5,seed=1", "--out", "o.csv"], "o.csv",
+         lambda g: _measures_rows("random:n=5,seed=1", g)),
+    ], ids=["reproduce-fig7", "reproduce-fig8", "compare", "chain", "qdist", "measures"])
+    def test_subcommand_csv_matches_row_oracle(self, argv, name, rows, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, *SMALL]) == 0
+        text = (tmp_path / name).read_bytes().decode("utf-8")
+        comments, header, _ = read_csv(tmp_path / name)
+        assert text == csv_text(comments, header, rows(self.GRID))
+        if argv[0] == "qdist":
+            assert "e-05" in text     # exponent-form cells round-trip as str writes them
 
 
 class TestCsvJsonAgree:

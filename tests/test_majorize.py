@@ -408,6 +408,48 @@ class TestPartialOrder:
         with pytest.raises(ValueError):
             partial_order([("a", dist(0.5, 0.5)), ("a", dist(0.6, 0.4))])
 
+    def test_generator_gives_the_list_result(self):
+        # items are read in one pass: a one-shot generator orders like the list
+        weights = [(59, 33, 8), (67, 20, 13), (48, 46, 6), (48, 44, 8), (53, 34, 13)]
+        items = [(f"d{i}", dist_from_ints(w)) for i, w in enumerate(weights)]
+        ref = partial_order(items, 0.05)
+        gen = (item for item in items)
+        res = partial_order(gen, 0.05)
+        assert next(gen, None) is None
+        assert (res.names, res.matrix, res.layers, res.chain, res.violations) == (
+            ref.names, ref.matrix, ref.layers, ref.chain, ref.violations)
+        assert res.violations     # a transitivity and an equal-group defect
+        assert [c.s.tolist() for c in res.curves] == [c.s.tolist() for c in ref.curves]
+
+    def test_generator_frees_each_distribution_before_the_next(self):
+        # only the curve of an item is kept: its distribution is gone by the time
+        # the generator builds the next one
+        import gc
+        import weakref
+        refs = []
+
+        def tracked(w):
+            d = dist(*w)
+            refs.append(weakref.ref(d))
+            return d
+
+        def items():
+            for i, w in enumerate([(0.5, 0.3, 0.2), (0.6, 0.3, 0.1), (0.4, 0.4, 0.2)]):
+                gc.collect()
+                assert all(r() is None for r in refs)
+                yield f"d{i}", tracked(w)
+
+        res = partial_order(items(), 1e-9)
+        assert len(refs) == len(res.curves) == 3
+
+    @pytest.mark.parametrize("items, message", [
+        ([("a", dist(0.5, 0.5)), ("a", dist(0.6, 0.4))], "item names must be unique"),
+        ([("a", dist(0.5, 0.5)), ("b", dist(0.4, 0.3, 0.3))],
+         r"distributions live on different grids: sizes \[2, 3\]")])
+    def test_generator_errors_keep_their_messages(self, items, message):
+        with pytest.raises(ValueError, match=message):
+            partial_order(item for item in items)
+
     @staticmethod
     def order_percent(*weights, tol=0.05):
         return partial_order([(name, dist_from_ints(w)) for name, w in zip("abc", weights)], tol)

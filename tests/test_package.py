@@ -7,16 +7,15 @@ PUBLIC_NAMES = {
     "RENYI_Q_SWEEP", "Relation", "Verdict", "apply_su2", "band_thetas", "compare",
     "confidence_interval", "discretize_state", "grid_directions", "lorenz",
     "make_analytic", "make_coherent", "make_hs_extremal", "make_noon", "make_phase",
-    "make_squeezed", "partial_order", "q_analytic", "q_mixed", "q_on_grid", "q_pure",
-    "random_pure", "render_chain", "renyi", "sector_phis", "su2_overlap",
-    "wigner_d_matrix",
+    "make_squeezed", "partial_order", "q_analytic", "q_on_grid", "random_pure",
+    "render_chain", "renyi", "sector_phis", "wigner_d_matrix",
 }
 
 
 def test_public_names_are_pinned():
     # the test-only oracles (T-transforms, permutation mixtures, rotation algebra,
-    # state overlaps) live in tests/oracles.py, not in the package
-    assert len(polmaj.__all__) == len(PUBLIC_NAMES) == 40
+    # state overlaps, pointwise Q) live in tests/oracles.py, not in the package
+    assert len(polmaj.__all__) == len(PUBLIC_NAMES) == 37
     assert set(polmaj.__all__) == PUBLIC_NAMES
 
 

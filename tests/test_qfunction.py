@@ -5,10 +5,10 @@ import pytest
 
 from polmaj import (Direction, EulerRotation, GridSpec, MixedState, PureFockState,
                     apply_su2, discretize_state, make_analytic, make_coherent,
-                    make_noon, make_phase, make_squeezed, q_analytic, q_mixed,
-                    q_on_grid, q_pure, random_pure, su2_overlap)
+                    make_noon, make_phase, make_squeezed, q_analytic, q_on_grid,
+                    random_pure)
 
-from oracles import rotation_matrix
+from oracles import q_mixed, q_pure, rotation_matrix, su2_overlap
 
 FOUR_PI = 4.0 * math.pi
 

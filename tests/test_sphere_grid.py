@@ -9,8 +9,10 @@ from polmaj import (ALPHA_SWEEP, RENYI_Q_SWEEP, AnalyticQFamily, DiscreteDistrib
                     EulerRotation, EvaluationError, GridSpec, MixedState, PureFockState,
                     apply_su2, band_thetas, confidence_interval, discretize_state,
                     grid_directions, lorenz, make_analytic, make_coherent, make_noon, make_phase,
-                    q_analytic, q_mixed, q_pure, random_pure, renyi, sector_phis)
+                    q_analytic, random_pure, renyi, sector_phis)
 from polmaj.cli import parse_state_spec
+
+from oracles import q_mixed, q_pure
 
 FOUR_PI = 4.0 * math.pi
 QS = RENYI_Q_SWEEP + (math.inf,)
