@@ -275,26 +275,36 @@ def _out_path(cfg: RunConfig, default_stem: str) -> Path:
     return Path(cfg.out) if cfg.out else Path(f"{default_stem}.{cfg.fmt}")
 
 
-def _analyze(specs: Sequence[str], cfg: RunConfig, use_letter: bool = False):
-    """Parse and label the designators `specs`, then discretize each state on the
-    configured grid: (parsed states, labels, distributions)."""
+def _parse(specs: Sequence[str], cfg: RunConfig, use_letter: bool = False):
+    """Parse and label the designators `specs`: (parsed states, labels)."""
     parsed = [parse_state_spec(s, cfg.seed) for s in specs]
-    labels = assign_labels(parsed, use_letter)
-    grid = cfg.grid
-    return parsed, labels, [discretize_state(p.obj, grid) for p in parsed]
+    return parsed, assign_labels(parsed, use_letter)
+
+
+def _order(parsed, labels, grid: GridSpec, tol: float):
+    """partial_order of the states discretized on `grid`, each built as it is read
+    and freed once its curve exists: (result, the distributions' raw masses)."""
+    raw_masses: list[float] = []
+
+    def noted(dist):
+        raw_masses.append(dist.raw_mass)
+        return dist
+
+    return partial_order(((lab, noted(discretize_state(p.obj, grid)))
+                          for p, lab in zip(parsed, labels)), tol), raw_masses
 
 
 def cmd_qdist(cfg: RunConfig, args: argparse.Namespace) -> int:
-    (ps,), _, (dist,) = _analyze([args.state], cfg)
+    dist = discretize_state(parse_state_spec(args.state, cfg.seed).obj, cfg.grid)
     grid = cfg.grid
     omega = grid_directions(grid)
     n = grid.n_pixels
     _write(_out_path(cfg, "qdist"), cfg.fmt,
-           [f"state={ps.text}", f"n_theta={grid.n_theta}", f"n_phi={grid.n_phi}",
+           [f"state={args.state}", f"n_theta={grid.n_theta}", f"n_phi={grid.n_phi}",
             f"raw_mass={dist.raw_mass!r}"],
            ["j", "theta", "phi", "p"],
            lambda: (range(1, n + 1), omega.theta, omega.phi, dist.p),
-           lambda: {"command": "qdist", "state": ps.text, "grid": asdict(grid),
+           lambda: {"command": "qdist", "state": args.state, "grid": asdict(grid),
                     "raw_mass": dist.raw_mass,
                     "pixels": {"j": list(range(1, n + 1)), "theta": omega.theta.tolist(),
                                "phi": omega.phi.tolist(), "p": dist.p.tolist()}})
@@ -302,19 +312,19 @@ def cmd_qdist(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
-    parsed, labels, dists = _analyze([args.state_a, args.state_b], cfg)
-    result = partial_order(list(zip(labels, dists)), cfg.tol)
+    parsed, labels = _parse([args.state_a, args.state_b], cfg)
+    result, raw_masses = _order(parsed, labels, cfg.grid, cfg.tol)
     verdict = result.matrix[0][1]
     print(verdict_line(verdict, labels[0], labels[1], _stdout_glyphs()))
     _write(_out_path(cfg, "compare"), cfg.fmt,
            [f"a={parsed[0].text}", f"b={parsed[1].text}",
             f"n_theta={cfg.n_theta}", f"n_phi={cfg.n_phi}", f"tol={cfg.tol!r}",
             f"verdict={verdict.relation.value}",
-            f"raw_mass_a={dists[0].raw_mass!r}", f"raw_mass_b={dists[1].raw_mass!r}"],
+            f"raw_mass_a={raw_masses[0]!r}", f"raw_mass_b={raw_masses[1]!r}"],
            *_lorenz_table(result),
            lambda: {"command": "compare", "grid": asdict(cfg.grid), "tol": cfg.tol,
-                    "states": [{"spec": p.text, "label": lab, "raw_mass": d.raw_mass}
-                               for p, lab, d in zip(parsed, labels, dists)],
+                    "states": [{"spec": p.text, "label": lab, "raw_mass": m}
+                               for p, lab, m in zip(parsed, labels, raw_masses)],
                     "verdict": {"relation": verdict.relation.value,
                                 "witnesses": list(verdict.witnesses) if verdict.witnesses else None,
                                 "line": verdict_line(verdict, labels[0], labels[1], GLYPHS_ASCII)},
@@ -322,7 +332,7 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _chain_payload(result, parsed, labels, dists, grid, tol) -> dict:
+def _chain_payload(result, parsed, labels, raw_masses, grid, tol) -> dict:
     return {
         "grid": asdict(grid), "tol": tol,
         "states": [{"spec": p.text, "label": lab} for p, lab in zip(parsed, labels)],
@@ -331,7 +341,7 @@ def _chain_payload(result, parsed, labels, dists, grid, tol) -> dict:
                             for v in row] for row in result.matrix],
         "chain": result.chain,
         "chain_ascii": render_chain(result.layers, ascii_glyphs=True),
-        "raw_masses": {lab: d.raw_mass for lab, d in zip(labels, dists)},
+        "raw_masses": dict(zip(labels, raw_masses)),
         "violations": list(result.violations),
     }
 
@@ -339,8 +349,8 @@ def _chain_payload(result, parsed, labels, dists, grid, tol) -> dict:
 def cmd_chain(cfg: RunConfig, args: argparse.Namespace) -> int:
     if len(args.states) < 2:
         raise StateSpecError("chain needs at least two states")
-    parsed, labels, dists = _analyze(args.states, cfg, use_letter=True)
-    result = partial_order(list(zip(labels, dists)), cfg.tol)
+    parsed, labels = _parse(args.states, cfg, use_letter=True)
+    result, raw_masses = _order(parsed, labels, cfg.grid, cfg.tol)
     print(render_chain(result.layers, ascii_glyphs=_stdout_glyphs() is GLYPHS_ASCII))
     _write(_out_path(cfg, "chain"), cfg.fmt,
            [f"states={' '.join(p.text for p in parsed)}",
@@ -348,7 +358,7 @@ def cmd_chain(cfg: RunConfig, args: argparse.Namespace) -> int:
             f"chain={render_chain(result.layers, ascii_glyphs=True)}"],
            *_lorenz_table(result),
            lambda: {"command": "chain",
-                    **_chain_payload(result, parsed, labels, dists, cfg.grid, cfg.tol)})
+                    **_chain_payload(result, parsed, labels, raw_masses, cfg.grid, cfg.tol)})
     return 0
 
 
@@ -368,15 +378,14 @@ def _relations(result: PartialOrderResult) -> list[list[Relation]]:
 
 def cmd_reproduce(cfg: RunConfig, args: argparse.Namespace) -> int:
     specs = FIGURES[args.figure]
-    parsed, labels, dists = _analyze(specs, cfg, use_letter=True)
+    parsed, labels = _parse(specs, cfg, use_letter=True)
     grid = cfg.grid
-    result = partial_order(list(zip(labels, dists)), cfg.tol)
-    # only the relations of the doubled grid are kept.  Its states stream through
-    # partial_order, so each distribution is freed once its curve exists, and the
-    # curves are freed before any output is written
+    # the doubled grid runs first and keeps only its relations, so its curves are
+    # freed before any base-grid array is built
     doubled = GridSpec(2 * grid.n_theta, 2 * grid.n_phi)
-    stable = _relations(result) == _relations(partial_order(
-        ((lab, discretize_state(p.obj, doubled)) for p, lab in zip(parsed, labels)), cfg.tol))
+    doubled_relations = _relations(_order(parsed, labels, doubled, cfg.tol)[0])
+    result, raw_masses = _order(parsed, labels, grid, cfg.tol)
+    stable = _relations(result) == doubled_relations
     print(render_chain(result.layers, ascii_glyphs=_stdout_glyphs() is GLYPHS_ASCII))
     print(f"doubled-grid stability: {'PASS' if stable else 'FAIL'}")
 
@@ -390,23 +399,23 @@ def cmd_reproduce(cfg: RunConfig, args: argparse.Namespace) -> int:
            *_lorenz_table(result), None)
     _write(base.with_name(base.name + "_verdicts.json"), "json", (), (), None,
            lambda: {"command": "reproduce", "figure": args.figure,
-                    **_chain_payload(result, parsed, labels, dists, grid, cfg.tol),
+                    **_chain_payload(result, parsed, labels, raw_masses, grid, cfg.tol),
                     "stability": {"grid_doubled": asdict(doubled),
                                   "verdicts_unchanged": stable}})
     return 0 if stable else 1
 
 
 def cmd_measures(cfg: RunConfig, args: argparse.Namespace) -> int:
-    (ps,), _, (dist,) = _analyze([args.state], cfg)
+    dist = discretize_state(parse_state_spec(args.state, cfg.seed).obj, cfg.grid)
     renyi_vals = [(q, renyi(dist, q)) for q in RENYI_Q_SWEEP]
     conf_vals = [(a, confidence_interval(dist, a)) for a in ALPHA_SWEEP]
     _write(_out_path(cfg, "measures"), cfg.fmt,
-           [f"state={ps.text}", f"n_theta={cfg.grid.n_theta}", f"n_phi={cfg.grid.n_phi}",
+           [f"state={args.state}", f"n_theta={cfg.grid.n_theta}", f"n_phi={cfg.grid.n_phi}",
             f"raw_mass={dist.raw_mass!r}"],
            ["measure", "param", "value"],
            lambda: tuple(zip(*[("renyi", q, v) for q, v in renyi_vals],
                              *[("confidence", a, k) for a, k in conf_vals])),
-           lambda: {"command": "measures", "state": ps.text, "grid": asdict(cfg.grid),
+           lambda: {"command": "measures", "state": args.state, "grid": asdict(cfg.grid),
                     "raw_mass": dist.raw_mass,
                     "renyi": {repr(q): v for q, v in renyi_vals},
                     "confidence": {repr(a): k for a, k in conf_vals}})

@@ -22,7 +22,8 @@ def confidence_interval(dist: DiscreteDistribution, alpha: float) -> int:
     """Smallest pixel count K whose largest-K probabilities reach total alpha."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"confidence level must lie in (0, 1], got {alpha!r}")
-    # the pinned endpoint makes alpha = 1 resolve to the support size
+    if alpha == 1.0:    # S_k can round to 1.0 before the last pixel that carries mass
+        return int(np.count_nonzero(dist.values)) * dist.repeat
     return int(np.searchsorted(dist.descending_cumsum, alpha, side="left")) + 1
 
 

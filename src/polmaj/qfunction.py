@@ -97,6 +97,10 @@ def q_on_grid(obj: PolState, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray
         if m.size == 1:                              # |c_m e^{i m phi}| does not vary with phi
             phis = phis[:1]
         phases = np.exp(1j * np.outer(m, phis))      # (M, P)
+        # the complex (T, P) product stays: a real matmul of the trigonometric
+        # factors sum_d G_d e^{i d phi} matches Q to 1e-15, but without this 2N
+        # transient glibc trims the heap after every perfbench lieb-sweep operation
+        # and faults it back in (593 minor faults per operation against 0)
         q = np.abs(coeff @ phases)                   # squared and scaled in place
         np.square(q, out=q)
         q *= (obj.n + 1) / (4.0 * np.pi)

@@ -9,6 +9,8 @@ amplitudes.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,17 +101,26 @@ def _basis_state(n: int, occupied: dict[int, complex]) -> PureFockState:
     return PureFockState(n=n, amps=amps)
 
 
+def _photon_number(n) -> int:
+    """n as a nonnegative int.  An integral float such as 4.0 is accepted; a bool,
+    a non-finite, non-integral or negative value raises ValueError."""
+    if (isinstance(n, bool) or not isinstance(n, numbers.Real) or not math.isfinite(n)
+            or n != int(n)):
+        raise ValueError(f"photon number must be an integer, got {n!r}")
+    if n < 0:
+        raise ValueError(f"photon number must be >= 0, got {int(n)}")
+    return int(n)
+
+
 def make_coherent(n: int) -> PureFockState:
     """SU(2) coherent state pointing at the north pole: all n photons in mode 1."""
-    if n < 0:
-        raise ValueError(f"photon number must be >= 0, got {n}")
+    n = _photon_number(n)
     return _basis_state(n, {n: 1.0})
 
 
 def make_phase(n: int) -> PureFockState:
     """Phase state (phi = 0 representative): uniform amplitudes 1/sqrt(n+1)."""
-    if n < 0:
-        raise ValueError(f"photon number must be >= 0, got {n}")
+    n = _photon_number(n)
     return PureFockState(n=n, amps=np.full(n + 1, 1.0 / np.sqrt(n + 1), dtype=complex))
 
 
@@ -119,6 +130,7 @@ def make_squeezed(n: int) -> PureFockState:
 
     n = 0, 1 leave no twin structure and are rejected.
     """
+    n = _photon_number(n)
     if n < 2:
         raise ValueError(f"squeezed (twin-number) state needs n >= 2, got {n}")
     if n % 2 == 0:
@@ -129,6 +141,7 @@ def make_squeezed(n: int) -> PureFockState:
 
 def make_noon(n: int) -> PureFockState:
     """N00N state (|n,0> + |0,n>)/sqrt(2)."""
+    n = _photon_number(n)
     if n < 1:
         raise ValueError(f"N00N state needs n >= 1, got {n}")
     r = 1.0 / np.sqrt(2)
@@ -141,6 +154,7 @@ def make_hs_extremal(n: int) -> PureFockState:
     Known instances only: n = 2, 3 coincide with the N00N states;
     n = 4 is (|0,4> + sqrt(2)|3,1>)/sqrt(3); n = 5 is (|1,4> + |4,1>)/sqrt(2).
     """
+    n = _photon_number(n)
     if n in (2, 3):
         return make_noon(n)
     if n == 4:
@@ -162,8 +176,7 @@ def random_pure(n: int, seed) -> PureFockState:
     i.i.d. standard complex Gaussian amplitudes, normalized; deterministic for a
     given seed.
     """
-    if n < 0:
-        raise ValueError(f"photon number must be >= 0, got {n}")
+    n = _photon_number(n)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
     return PureFockState(n=n, amps=z / np.linalg.norm(z))

@@ -305,6 +305,28 @@ class TestCompareCmd:
         assert set(payload["lorenz"]) == {"coherent", "noon"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "hs:n=4", "noon:n=4"],
+    ["chain", "hs:n=4", "squeezed:n=4", "noon:n=4", "phase:n=4"]])
+def test_each_distribution_is_freed_before_the_next_is_built(tmp_path, monkeypatch, argv):
+    # each state is discretized as partial_order reads it, and only its curve is kept
+    import gc
+    import weakref
+    refs = []
+
+    def tracked(obj, spec):
+        gc.collect()
+        assert all(r() is None for r in refs)
+        d = discretize_state(obj, spec)
+        refs.append(weakref.ref(d))
+        return d
+
+    monkeypatch.setattr("polmaj.cli.discretize_state", tracked)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + SMALL) == 0
+    assert len(refs) == len(argv) - 1
+
+
 class TestChainCmd:
     def test_n2_chain_letters(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -389,20 +411,24 @@ class TestReproduceCmd:
         assert calls["discretize_state"] == 10      # five states on two grids
         assert calls["lorenz"] == calls["discretize_state"]
 
-    def test_doubled_grid_check_keeps_curves_not_distributions(self, tmp_path, monkeypatch):
-        # the doubled grid's states stream through partial_order, each freed once its
-        # curve exists, and the CSV is formatted one block of rows at a time.  At
-        # 200^2 the traced peak of fig5 is 8.2 doubled-grid curves; it was 11.1 when
-        # all five doubled-grid distributions lived beside their curves
+    @pytest.mark.parametrize("figure, bound", [
+        ("fig3", 6.5), ("fig4", 6.5), ("fig5", 6.5), ("fig6", 6.5), ("fig8", 4.5)])
+    def test_doubled_grid_check_keeps_curves_not_distributions(self, tmp_path, monkeypatch,
+                                                               figure, bound):
+        # the doubled grid runs first and its states stream through partial_order,
+        # each freed once its curve exists, so the peak is the doubled grid's held
+        # curves plus the last state's transient.  At 200^2 fig3..fig6 peak at about
+        # 6.0 doubled-grid curves and fig8 at 4.0; they read 8.1-8.4 and 4.8 while
+        # the base grid's curves and distributions lived through the check
         monkeypatch.chdir(tmp_path)
         curve_bytes = 8 * 400 * 400
         tracemalloc.start()
         try:
-            assert main(["reproduce", "fig5", "--n-theta", "200", "--n-phi", "200"]) == 0
+            assert main(["reproduce", figure, "--n-theta", "200", "--n-phi", "200"]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 9.5 * curve_bytes
+        assert peak <= bound * curve_bytes
 
     def test_unknown_figure_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from polmaj import (ALPHA_SWEEP, RENYI_Q_SWEEP, DiscreteDistribution, GridSpec, Relation,
                     compare, confidence_interval, discretize_state, lorenz, make_analytic,
-                    make_noon, renyi)
+                    make_coherent, make_noon, renyi)
 
 from oracles import t_transform
 
@@ -33,6 +33,14 @@ class TestConfidenceInterval:
     def test_alpha_one_counts_support(self):
         d = dist(0.5, 0.3, 0.2, 0.0, 0.0)
         assert confidence_interval(d, 1.0) == 3
+
+    def test_alpha_one_counts_support_where_s_k_rounds_to_one_early(self):
+        # every pixel of coherent n=4 at 400^2 carries mass, but S_k reaches 1.0
+        # in float one pixel before the last
+        d = discretize_state(make_coherent(4), GridSpec(400, 400))
+        assert np.count_nonzero(d.p) == 160_000
+        assert int(np.searchsorted(d.descending_cumsum, 1.0)) + 1 == 159_999
+        assert confidence_interval(d, 1.0) == 160_000
 
     def test_alpha_validation(self):
         d = dist(0.5, 0.5)

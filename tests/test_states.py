@@ -88,6 +88,20 @@ class TestConstructors:
         s = ctor(n)
         assert abs(np.sum(np.abs(s.amps) ** 2) - 1) < 1e-12
 
+    @pytest.mark.parametrize("ctor", [make_coherent, make_phase, make_squeezed, make_noon,
+                                      make_hs_extremal, lambda n: random_pure(n, 0)])
+    def test_integral_float_photon_number_accepted(self, ctor):
+        s = ctor(4.0)
+        assert s.n == 4 and type(s.n) is int
+        assert np.array_equal(amps(s), amps(ctor(4)))
+
+    @pytest.mark.parametrize("ctor", [make_coherent, make_phase, make_squeezed, make_noon,
+                                      make_hs_extremal, lambda n: random_pure(n, 0)])
+    @pytest.mark.parametrize("n", [4.5, float("inf"), float("nan"), True, "4", None, -1, -2.0])
+    def test_bad_photon_number_raises_value_error(self, ctor, n):
+        with pytest.raises(ValueError, match="photon number must be"):
+            ctor(n)
+
 
 class TestValidation:
     def test_wrong_length_rejected(self):
