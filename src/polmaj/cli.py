@@ -103,6 +103,8 @@ def _take(kwargs: dict[str, str], key: str, spec: str, kind: type):
 
 def parse_state_spec(text: str, default_seed: Optional[int] = None) -> ParsedState:
     """Turn a designator string into a state object (see module docstring grammar)."""
+    if not text.isprintable():   # int() and float() would strip a newline or tab
+        raise StateSpecError(f"{text!r}: designators must not hold control characters")
     family, _, argstr = text.partition(":")
     family = family.strip()
     kwargs = _parse_kwargs(argstr.strip())

@@ -8,6 +8,7 @@ and genuine crossings are reported as Incomparable with witness indices.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -63,25 +64,36 @@ class Verdict:
 
 @dataclass(frozen=True)
 class LorenzCurve:
-    """Ordered partial sums S_k, k = 1..N: cumulative sums of p sorted descending."""
+    """Ordered partial sums S_k, k = 1..N: cumulative sums of p sorted descending.
+
+    `run` says that S is linear over each run of `run` consecutive k, as in a curve
+    built from a repeated distribution; only the run ends S_run, S_2run, ..., S_N are
+    checked then.  With the default run = 1 every S_k is checked.
+    """
 
     s: np.ndarray
+    run: int = 1
 
     def __post_init__(self):
         s = owned_read_only(self.s)
         if s.ndim != 1 or s.size < 1:
             raise ValueError("S_k must be a nonempty 1-d array")
+        run = self.run
+        if (isinstance(run, bool) or not isinstance(run, numbers.Integral) or run < 1
+                or s.size % run):
+            raise ValueError(f"run must be a positive integer dividing N = {s.size}, got {run!r}")
+        ends = s[run - 1::run]
         # increments and their differences in one pass over cache-sized windows that
         # overlap by two values, so each difference is taken once; every test is
         # written so that NaN fails it, and the messages keep their whole-curve order
         concave = True
         with np.errstate(invalid="ignore", over="ignore"):
-            if not s[0] >= 0.0:                      # the first increment, S_1 - S_0
+            if not ends[0] >= 0.0:                   # the first increment, S_run - S_0
                 raise ValueError("S_k must be nondecreasing")
-            if s.size > 1:
-                concave = (s[1] - s[0]) - s[0] <= 1e-12
-            for start in range(0, s.size - 1, _BLOCK):
-                inc = np.diff(s[start:start + _BLOCK + 2])
+            if ends.size > 1:
+                concave = (ends[1] - ends[0]) - ends[0] <= 1e-12
+            for start in range(0, ends.size - 1, _BLOCK):
+                inc = np.diff(ends[start:start + _BLOCK + 2])
                 if not inc.min() >= 0.0:
                     raise ValueError("S_k must be nondecreasing")
                 if concave and inc.size > 1:
@@ -91,6 +103,7 @@ class LorenzCurve:
         if not abs(s[-1] - 1.0) <= 1e-12:
             raise ValueError(f"S_N must equal 1, got {s[-1]!r}")
         object.__setattr__(self, "s", s)
+        object.__setattr__(self, "run", int(run))
 
     @property
     def n(self) -> int:
@@ -98,8 +111,11 @@ class LorenzCurve:
 
 
 def lorenz(dist: DiscreteDistribution) -> LorenzCurve:
-    """The curve of dist, sharing its cached partial sums: each distribution sorts once."""
-    return LorenzCurve(s=dist.descending_cumsum)
+    """The curve of dist, sharing its cached partial sums: each distribution sorts once.
+
+    A repeated distribution's curve is linear over each run of `repeat` pixels and
+    ends each run on its exact band sum, so it is checked at the run ends only."""
+    return LorenzCurve(s=dist.descending_cumsum, run=dist.repeat)
 
 
 def _check_tol(tol: float) -> None:

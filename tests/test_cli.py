@@ -66,6 +66,13 @@ class TestParseStateSpec:
         with pytest.raises(StateSpecError):
             parse_state_spec(bad)
 
+    @pytest.mark.parametrize("bad", ["coherent:n=\n2", "coherent:n=2\r", "thermal:nbar=\t10",
+                                     "random:n=4,seed=\n7"])
+    def test_rejects_control_characters(self, bad):
+        # int() and float() strip them, so the value alone would parse
+        with pytest.raises(StateSpecError, match="control characters"):
+            parse_state_spec(bad)
+
     def test_letters(self):
         assert parse_state_spec("coherent:n=2").letter == "C"
         assert parse_state_spec("tmsv:nbar=1").letter == "S"
@@ -186,6 +193,22 @@ class TestConfig:
         assert main(["qdist", "coherent:n=1", "--n-phi", "8", "--config", "cfg.json"]) == 2
         assert "bad value" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("char", ["\n", "\r", "\t"], ids=["lf", "cr", "tab"])
+@pytest.mark.parametrize("command", [["compare", "coherent:n=3"], ["chain", "coherent:n=3"],
+                                     ["qdist"], ["measures"]],
+                         ids=["compare", "chain", "qdist", "measures"])
+def test_control_character_in_a_value_exits_2(command, char, tmp_path, monkeypatch, capsys):
+    # "# a=coherent:n=" and a bare "2" line would otherwise break the CSV
+    monkeypatch.chdir(tmp_path)
+    name, *rest = command
+    for fmt in ("csv", "json"):
+        assert main([name, f"coherent:n={char}2", *rest, "--format", fmt, *SMALL]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "control characters" in captured.err
+    assert os.listdir(tmp_path) == []
 
 
 class TestQdist:

@@ -150,6 +150,79 @@ class TestLorenz:
                 with pytest.raises(ValueError, match=expected):
                     LorenzCurve(s=s)
 
+    # band values with zeros, ties and spread-out magnitudes
+    band_values = st.lists(st.one_of(st.integers(0, 3), st.floats(0.0, 1e6)),
+                           min_size=1, max_size=30).filter(lambda w: sum(w) > 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(band_values, st.integers(1, 50))
+    def test_run_built_curves_pass_every_pixel_check(self, w, repeat):
+        # what a run-end check skips inside a run cannot fail on a curve polmaj builds
+        d = DiscreteDistribution.from_weights(np.asarray(w, dtype=float), repeat=repeat)
+        LorenzCurve(s=d.descending_cumsum, run=1)
+
+    def test_lorenz_passes_the_run_length(self):
+        assert lorenz(dist(0.2, 0.5, 0.3)).run == 1
+        d = discretize_state(make_analytic("thermal", 10.0), GridSpec(6, 8))
+        assert d.repeat == 8
+        assert lorenz(d).run == d.repeat
+
+    @staticmethod
+    def straight_runs(run, m):
+        """The uniform curve over m runs of `run` pixels, and its run-end indices."""
+        return TestLorenz.straight(run * m), np.arange(run - 1, run * m, run)
+
+    @pytest.mark.parametrize("fault", [
+        ("decrease", 4), ("concave", 4), ("end", -1),
+        ("nan", 0), ("nan", 4), ("nan", -1), ("inf", 4), ("inf", -1),
+        ("-inf", 0), ("-inf", 4),
+    ])
+    @pytest.mark.parametrize("run", [2, 7])
+    def test_run_end_faults_get_the_pixel_message(self, run, fault):
+        what, j = fault
+        s, ends = self.straight_runs(run, 10)
+        k = ends[j]
+        if what == "decrease":
+            s[k] = s[ends[j - 1]] - 1e-9
+        elif what == "concave":
+            s[k] += 1e-9                     # a longer step into run end j, then a shorter one
+        elif what == "end":
+            s *= 1.0 - 1e-9
+        else:
+            s[k] = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}[what]
+        expected = self.whole_curve_fault(s)      # the message of the run = 1 check
+        assert expected is not None
+        with pytest.raises(ValueError, match=expected):
+            LorenzCurve(s=s, run=run)
+
+    @pytest.mark.parametrize("run", [0, -1, True, 2.5, 4, np.float64(2.0)])
+    def test_rejects_a_bad_run(self, run):
+        # N = 6: 4 does not divide it
+        with pytest.raises(ValueError, match="run must be a positive integer dividing N = 6"):
+            LorenzCurve(s=self.straight(6), run=run)
+
+    def test_run_is_kept_as_an_int(self):
+        curve = LorenzCurve(s=self.straight(6), run=np.int64(3))
+        assert type(curve.run) is int and curve.run == 3
+
+    @pytest.mark.parametrize("at", [-1, 0, 1, 2])
+    def test_run_end_checks_carry_across_blocks(self, at):
+        # faults at and around the boundary between the first two windows of the
+        # strided view of the run ends
+        run = 3
+        s, ends = self.straight_runs(run, 2 * majmod._BLOCK + 5)
+        LorenzCurve(s=s, run=run)
+        k, before = ends[majmod._BLOCK + at], ends[majmod._BLOCK + at - 1]
+        s[k] = s[before]                                  # a zero increment, then a double one
+        with pytest.raises(ValueError, match="increments must be nonincreasing"):
+            LorenzCurve(s=s, run=run)
+        s[k] = s[before] - 1e-9
+        with pytest.raises(ValueError, match="S_k must be nondecreasing"):
+            LorenzCurve(s=s, run=run)
+        s[k] = math.nan
+        with pytest.raises(ValueError, match="S_k must be nondecreasing"):
+            LorenzCurve(s=s, run=run)
+
 
 class TestCompare:
     def test_delta_majorizes_uniform(self):
