@@ -25,8 +25,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
+from .csvtext import block_text
 from .majorize import (DEFAULT_TOL, GLYPHS_ASCII, GLYPHS_UNICODE, PartialOrderResult,
                        Relation, Verdict, partial_order, render_chain)
 from .measures import ALPHA_SWEEP, RENYI_Q_SWEEP, confidence_interval, renyi
@@ -122,7 +121,7 @@ def parse_state_spec(text: str, default_seed: Optional[int] = None) -> ParsedSta
         elif family in ("glauber", "thermal", "tmsv"):
             nbar = _take(kwargs, "nbar", text, float)
             obj = make_analytic(family, nbar)
-            params = f"nbar={nbar:g}"
+            params = f"nbar={obj.nbar:g}"
         else:
             raise StateSpecError(f"unknown state family {family!r}")
     except StateSpecError:
@@ -231,8 +230,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-# CSV tables are formatted and written this many rows at a time, so the Python
-# objects of only one block of cells are alive at once
+# CSV tables are formatted and written this many rows at a time, so the text and
+# temporaries of only one block of rows are alive at once
 _CSV_BLOCK = 4096
 
 
@@ -243,27 +242,20 @@ def _write(path: Path, fmt: str, comments: Sequence[str], header: Sequence[str],
     comment lines and a header, or `payload()` as indented JSON, and note the path on
     stderr.  Only the chosen format's data is built, and it is built and checked
     before the file is opened, so an error leaves no truncated file.  Each cell is
-    written as str(value), one block of rows per write call."""
+    written as str(value) (see csvtext), one block of rows per write call."""
     data = payload() if fmt == "json" else columns()
     if fmt == "csv" and len({len(col) for col in data}) != 1:
         raise ValueError("CSV columns must have one length")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if fmt == "json":
+    if fmt == "json":
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(data, fh, indent=1)
             fh.write("\n")
-        else:
-            for line in comments:
-                fh.write(f"# {line}\n")
-            fh.write(",".join(header) + "\n")
-            width, n_rows = len(data), len(data[0])
-            row = "%s," * (width - 1) + "%s\n"
-            for start in range(0, n_rows, _CSV_BLOCK):
-                rows = min(_CSV_BLOCK, n_rows - start)
-                flat: list = [None] * (rows * width)     # the block's cells, row-major
-                for t, col in enumerate(data):
-                    part = col[start:start + rows]
-                    flat[t::width] = part.tolist() if isinstance(part, np.ndarray) else part
-                fh.write(row * rows % tuple(flat))
+    else:
+        with open(path, "wb") as fh:
+            fh.write("".join([f"# {line}\n" for line in comments]
+                             + [",".join(header) + "\n"]).encode("utf-8"))
+            for start in range(0, len(data[0]), _CSV_BLOCK):
+                fh.write(block_text([col[start:start + _CSV_BLOCK] for col in data]))
     print(f"wrote {path}", file=sys.stderr)
 
 

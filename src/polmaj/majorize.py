@@ -62,7 +62,8 @@ class Verdict:
         return self
 
 
-@dataclass(frozen=True)
+# eq=False: it holds arrays, so it compares and hashes by identity
+@dataclass(frozen=True, eq=False)
 class LorenzCurve:
     """Ordered partial sums S_k, k = 1..N: cumulative sums of p sorted descending.
 
@@ -166,7 +167,8 @@ def render_chain(layers: Sequence[Sequence[Sequence[str]]], ascii_glyphs: bool =
     return f" {g['prec']} ".join(layer_strs)
 
 
-@dataclass(frozen=True)
+# eq=False: its curves hold arrays, so it compares and hashes by identity
+@dataclass(frozen=True, eq=False)
 class PartialOrderResult:
     """Pairwise verdicts plus a layered chain rendering of the partial order.
 

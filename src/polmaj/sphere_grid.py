@@ -67,7 +67,8 @@ def _check_repeat(repeat) -> int:
     return int(repeat)
 
 
-@dataclass(frozen=True)
+# eq=False: it holds arrays, so it compares and hashes by identity
+@dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
     """Pixel probabilities (unit sum) plus the pre-normalization mass diagnostic.
 

@@ -71,7 +71,7 @@ class AnalyticQFamily:
     def __post_init__(self):
         if self.kind not in ANALYTIC_KINDS:
             raise ValueError(f"unknown family {self.kind!r}; expected one of {sorted(ANALYTIC_KINDS)}")
-        nbar = float(self.nbar)
+        nbar = float(self.nbar) + 0.0                 # -0.0 becomes 0.0
         if not np.isfinite(nbar) or nbar < 0:
             raise ValueError(f"mean photon number must be finite and >= 0, got {self.nbar!r}")
         object.__setattr__(self, "nbar", nbar)

@@ -48,6 +48,12 @@ class TestParseStateSpec:
         assert ps.obj.kind == "thermal" and ps.obj.nbar == 10.0
         assert parse_state_spec("tmsv:nbar=2.5").obj.nbar == 2.5
 
+    def test_negative_zero_nbar_reads_as_zero(self):
+        ps = parse_state_spec("thermal:nbar=-0.0")
+        assert ps.params == "nbar=0" and math.copysign(1.0, ps.obj.nbar) == 1.0
+        parsed = [parse_state_spec(s) for s in ("thermal:nbar=-0.0", "thermal:nbar=1")]
+        assert assign_labels(parsed, use_letter=True) == ["T(nbar=0)", "T(nbar=1)"]
+
     def test_random_seed_handling(self):
         a = parse_state_spec("random:n=4,seed=7")
         b = parse_state_spec("random:n=4,seed=7")

@@ -54,6 +54,12 @@ class TestLorenz:
         d = dist(0.2, 0.5, 0.3)
         assert np.shares_memory(lorenz(d).s, d.descending_cumsum)
 
+    def test_equality_is_identity(self):
+        # the generated __eq__ would compare the arrays and raise on their truth value
+        a, b = LorenzCurve(np.array([0.5, 1.0])), LorenzCurve(np.array([0.5, 1.0]))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_caller_arrays_are_copied(self):
         arr = np.array([0.5, 0.8, 1.0])
         curve = LorenzCurve(s=arr)
@@ -410,6 +416,13 @@ class TestPartialOrder:
         assert res.matrix[0][0].relation is Relation.EQUAL
         assert res.chain == "only"
         assert res.violations == ()
+
+    def test_equality_is_identity(self):
+        items = [("x", dist(0.6, 0.4)), ("y", dist(0.5, 0.5))]
+        a, b = partial_order(items), partial_order(items)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+        assert a.matrix[0][1] == b.matrix[0][1]       # verdicts keep value equality
 
     def test_t_transform_descendants_form_chain(self):
         p0 = dist(0.5, 0.25, 0.125, 0.125)

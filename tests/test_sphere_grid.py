@@ -185,6 +185,12 @@ class TestDiscreteDistribution:
             with pytest.raises(ValueError, match="repeat"):
                 DiscreteDistribution(values=np.array([0.5, 0.5]), repeat=bad)
 
+    def test_equality_is_identity(self):
+        a = DiscreteDistribution(values=np.array([0.5, 0.5]))
+        b = DiscreteDistribution(values=np.array([0.5, 0.5]))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_repeated_values(self):
         d = DiscreteDistribution.from_weights([3.0, 1.0], repeat=3)
         assert d.raw_mass == 12.0 and d.n_pixels == 6
