@@ -25,13 +25,16 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .csvtext import block_text
 from .majorize import (DEFAULT_TOL, GLYPHS_ASCII, GLYPHS_UNICODE, PartialOrderResult,
                        Relation, Verdict, partial_order, render_chain)
 from .measures import ALPHA_SWEEP, RENYI_Q_SWEEP, confidence_interval, renyi
-from .sphere_grid import EvaluationError, GridSpec, discretize_state, grid_directions
-from .states import (make_analytic, make_coherent, make_hs_extremal, make_noon,
-                     make_phase, make_squeezed, random_pure)
+from .sphere_grid import (DEFAULT_GRID, EvaluationError, GridSpec, band_thetas, discretize_state,
+                          sector_phis)
+from .states import (ANALYTIC_KINDS, make_analytic, make_coherent, make_hs_extremal,
+                     make_noon, make_phase, make_squeezed, random_pure)
 
 
 class StateSpecError(ValueError):
@@ -40,8 +43,8 @@ class StateSpecError(ValueError):
 
 @dataclass
 class RunConfig:
-    n_theta: int = 400
-    n_phi: int = 400
+    n_theta: int = DEFAULT_GRID.n_theta
+    n_phi: int = DEFAULT_GRID.n_phi
     tol: float = DEFAULT_TOL
     fmt: str = "csv"
     out: Optional[str] = None
@@ -118,7 +121,7 @@ def parse_state_spec(text: str, default_seed: Optional[int] = None) -> ParsedSta
                 default_seed if default_seed is not None else 0)
             obj = random_pure(n, seed)
             params = f"n={n},seed={seed}"
-        elif family in ("glauber", "thermal", "tmsv"):
+        elif family in ANALYTIC_KINDS:
             nbar = _take(kwargs, "nbar", text, float)
             obj = make_analytic(family, nbar)
             params = f"nbar={obj.nbar:g}"
@@ -291,17 +294,18 @@ def _order(parsed, labels, grid: GridSpec, tol: float):
 def cmd_qdist(cfg: RunConfig, args: argparse.Namespace) -> int:
     dist = discretize_state(parse_state_spec(args.state, cfg.seed).obj, cfg.grid)
     grid = cfg.grid
-    omega = grid_directions(grid)
+    theta = np.repeat(band_thetas(grid), grid.n_phi)
+    phi = np.tile(sector_phis(grid), grid.n_theta)
     n = grid.n_pixels
     _write(_out_path(cfg, "qdist"), cfg.fmt,
            [f"state={args.state}", f"n_theta={grid.n_theta}", f"n_phi={grid.n_phi}",
             f"raw_mass={dist.raw_mass!r}"],
            ["j", "theta", "phi", "p"],
-           lambda: (range(1, n + 1), omega.theta, omega.phi, dist.p),
+           lambda: (range(1, n + 1), theta, phi, dist.p),
            lambda: {"command": "qdist", "state": args.state, "grid": asdict(grid),
                     "raw_mass": dist.raw_mass,
-                    "pixels": {"j": list(range(1, n + 1)), "theta": omega.theta.tolist(),
-                               "phi": omega.phi.tolist(), "p": dist.p.tolist()}})
+                    "pixels": {"j": list(range(1, n + 1)), "theta": theta.tolist(),
+                               "phi": phi.tolist(), "p": dist.p.tolist()}})
     return 0
 
 
@@ -431,8 +435,10 @@ _SUBCOMMANDS = (
 
 def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n-theta", dest="n_theta", type=int, help="cos(theta) bands (default 400)")
-    common.add_argument("--n-phi", dest="n_phi", type=int, help="azimuth sectors (default 400)")
+    common.add_argument("--n-theta", dest="n_theta", type=int,
+                        help=f"cos(theta) bands (default {DEFAULT_GRID.n_theta})")
+    common.add_argument("--n-phi", dest="n_phi", type=int,
+                        help=f"azimuth sectors (default {DEFAULT_GRID.n_phi})")
     common.add_argument("--tol", type=float, help=f"comparison tolerance (default {DEFAULT_TOL:g})")
     common.add_argument("--seed", type=int, help="default seed for random:... states")
     common.add_argument("--format", dest="fmt", choices=("csv", "json"), help="output format")

@@ -6,29 +6,19 @@ coherent state pointing along Omega = (theta, phi).  The coherent-state expansio
 uses the e^{-i m phi} ket convention, so the bra conjugation puts e^{+i m phi}
 into the overlap; the modulus is convention-independent.
 
-q_analytic broadcasts over theta/phi arrays; q_on_grid evaluates any state on
-an outer-product grid of band angles and sector azimuths.
+q_on_grid is the one evaluator: it takes any state to an outer-product grid of
+band angles and sector azimuths, and returns one column when Q does not depend
+on phi.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
 from .states import AnalyticQFamily, MixedState, PureFockState
-
-
-class Direction(NamedTuple):
-    """Point(s) on the Poincare sphere: polar angle theta in [0, pi], azimuth phi.
-
-    Fields may be scalars or broadcastable arrays; phi is 2pi-periodic with
-    canonical range (-pi, pi].
-    """
-
-    theta: Union[float, np.ndarray]
-    phi: Union[float, np.ndarray]
 
 
 PolState = Union[PureFockState, MixedState, AnalyticQFamily]
@@ -60,25 +50,16 @@ def _coefficients(state: PureFockState, theta: np.ndarray) -> tuple[np.ndarray, 
     return m, np.exp(0.5 * ln_binom + _xlogy(n - m, sh) + _xlogy(m, ch)) * state.amps[m]
 
 
-def _scalarize(x: np.ndarray):
-    return x[()] if x.ndim == 0 else x
-
-
-def q_analytic(family: AnalyticQFamily, omega: Direction):
+def _q_closed_form(family: AnalyticQFamily, theta: np.ndarray) -> np.ndarray:
     """Closed-form Q for the Glauber-coherent, thermal and two-mode squeezed vacuum
     families at mean total photon number nbar.  All three are phi-independent."""
-    theta, _ = np.broadcast_arrays(np.asarray(omega.theta, float), np.asarray(omega.phi, float))
-    _check_theta(theta)
     nbar = family.nbar
+    if family.kind == "tmsv":
+        return np.sqrt(2.0 + nbar) / (2.0 * np.pi) / (2.0 + nbar * np.cos(theta) ** 2) ** 1.5
+    s2 = np.sin(theta / 2.0) ** 2
     if family.kind == "glauber":
-        s2 = np.sin(theta / 2.0) ** 2
-        q = np.exp(-nbar * s2) * (1.0 + nbar * (1.0 - s2)) / (4.0 * np.pi)
-    elif family.kind == "thermal":
-        s2 = np.sin(theta / 2.0) ** 2
-        q = (1.0 + nbar) / (4.0 * np.pi) / (1.0 + nbar * s2) ** 2
-    else:  # tmsv
-        q = np.sqrt(2.0 + nbar) / (2.0 * np.pi) / (2.0 + nbar * np.cos(theta) ** 2) ** 1.5
-    return _scalarize(q)
+        return np.exp(-nbar * s2) * (1.0 + nbar * (1.0 - s2)) / (4.0 * np.pi)
+    return (1.0 + nbar) / (4.0 * np.pi) / (1.0 + nbar * s2) ** 2
 
 
 def q_on_grid(obj: PolState, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -108,5 +89,5 @@ def q_on_grid(obj: PolState, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray
     if isinstance(obj, MixedState):
         return sum(w * q_on_grid(s, thetas, phis) for w, s in obj.components)
     if isinstance(obj, AnalyticQFamily):
-        return q_analytic(obj, Direction(thetas[:, None], 0.0))
+        return _q_closed_form(obj, thetas)[:, None]
     raise TypeError(f"no Q evaluator for {type(obj).__name__}")

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qfunction import Direction, PolState, q_on_grid
+from .qfunction import PolState, q_on_grid
 
 
 class EvaluationError(ValueError):
@@ -165,13 +165,6 @@ def sector_phis(spec: GridSpec) -> np.ndarray:
     """Sector azimuths phi_k = 2 pi k / n_phi - pi, k = 1..n_phi."""
     k = np.arange(1, spec.n_phi + 1)
     return 2.0 * np.pi * k / spec.n_phi - np.pi
-
-
-def grid_directions(spec: GridSpec) -> Direction:
-    """All pixel centers as flat length-N arrays, ordered by j = n_phi (l-1) + k."""
-    thetas = band_thetas(spec)
-    phis = sector_phis(spec)
-    return Direction(np.repeat(thetas, spec.n_phi), np.tile(phis, spec.n_theta))
 
 
 def discretize_state(obj: PolState, spec: GridSpec) -> DiscreteDistribution:

@@ -20,7 +20,8 @@ NORM_ATOL = 1e-12
 ANALYTIC_KINDS = frozenset({"glauber", "thermal", "tmsv"})
 
 
-@dataclass(frozen=True)
+# eq=False: it holds arrays, so it compares and hashes by identity
+@dataclass(frozen=True, eq=False)
 class PureFockState:
     """Pure state with definite total photon number n; amps[m] multiplies |m, n-m>."""
 
@@ -41,7 +42,8 @@ class PureFockState:
         object.__setattr__(self, "amps", amps)
 
 
-@dataclass(frozen=True)
+# eq=False: its components hold arrays, so it compares and hashes by identity
+@dataclass(frozen=True, eq=False)
 class MixedState:
     """Convex mixture of pure states; components may carry different photon numbers."""
 

@@ -13,8 +13,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from polmaj import DiscreteDistribution, Direction, EulerRotation, MixedState, PureFockState
-from polmaj.qfunction import _check_theta, _coefficients, _scalarize
+from polmaj import DiscreteDistribution, EulerRotation, MixedState, PureFockState
+from polmaj.qfunction import _check_theta, _coefficients
 
 
 def t_transform(dist: DiscreteDistribution, i: int, j: int, lam: float) -> DiscreteDistribution:
@@ -107,28 +107,30 @@ def rotation_matrix(rot: EulerRotation) -> np.ndarray:
     return rz(rot.alpha) @ ry(rot.beta) @ rz(rot.gamma)
 
 
-def su2_overlap(state: PureFockState, omega: Direction):
+def su2_overlap(state: PureFockState, theta, phi):
     """Overlap <n, Omega | psi> = sum_m sqrt(C(n,m)) sin^(n-m)(t/2) cos^m(t/2) e^{i m phi} c_m,
-    with n = state.n, at every point of omega (scalars or broadcastable arrays)."""
-    theta, phi = np.broadcast_arrays(np.asarray(omega.theta, float), np.asarray(omega.phi, float))
+    with n = state.n, at every point Omega = (theta, phi): scalars or broadcastable arrays,
+    theta in [0, pi]."""
+    theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
     _check_theta(theta)
     m, coeff = _coefficients(state, theta)
-    return _scalarize((coeff * np.exp(1j * m * phi[..., None])).sum(axis=-1))
+    amp = (coeff * np.exp(1j * m * phi[..., None])).sum(axis=-1)
+    return amp[()] if amp.ndim == 0 else amp
 
 
-def q_pure(state: PureFockState, omega: Direction):
-    """Q(Omega) = (n+1)/(4 pi) |<n, Omega | psi>|^2, in sr^-1."""
-    amp = su2_overlap(state, omega)
+def q_pure(state: PureFockState, theta, phi):
+    """Q(theta, phi) = (n+1)/(4 pi) |<n, Omega | psi>|^2, in sr^-1."""
+    amp = su2_overlap(state, theta, phi)
     return (state.n + 1) / (4.0 * np.pi) * np.abs(amp) ** 2
 
 
-def q_mixed(mixed: MixedState, omega: Direction):
+def q_mixed(mixed: MixedState, theta, phi):
     """Weighted sum of the components' Q functions.
 
     Components with different photon numbers contribute independently: the
     projection onto |n, Omega> picks out each component's own n-block.
     """
-    return sum(w * q_pure(s, omega) for w, s in mixed.components)
+    return sum(w * q_pure(s, theta, phi) for w, s in mixed.components)
 
 
 def csv_text(comments: Sequence[str], header: Sequence[str], rows: Iterable) -> str:

@@ -11,7 +11,8 @@ import pytest
 
 import polmaj
 from polmaj import (ALPHA_SWEEP, RENYI_Q_SWEEP, EvaluationError, GridSpec, Relation, Verdict,
-                    confidence_interval, discretize_state, grid_directions, lorenz, renyi)
+                    band_thetas, confidence_interval, discretize_state, lorenz, renyi,
+                    sector_phis)
 from polmaj.cli import (FIGURES, GLYPHS_ASCII, GLYPHS_UNICODE, RunConfig, StateSpecError,
                         _write, assign_labels, build_config, load_config_file, main,
                         make_parser, parse_state_spec, verdict_line)
@@ -236,6 +237,16 @@ class TestQdist:
         thetas = np.array([float(r[1]) for r in rows])
         p = np.array([float(r[3]) for r in rows])
         assert thetas[np.argmax(p)] == thetas.min()
+
+    def test_flat_ordering(self, tmp_path, monkeypatch):
+        # j = n_phi (l - 1) + k: theta constant inside each band, phi cycling
+        monkeypatch.chdir(tmp_path)
+        assert main(["qdist", "random:n=2,seed=3", "--n-theta", "2", "--n-phi", "3",
+                     "--format", "json"]) == 0
+        pixels = json.loads((tmp_path / "qdist.json").read_text())["pixels"]
+        grid = GridSpec(2, 3)
+        assert pixels["theta"] == np.repeat(band_thetas(grid), 3).tolist()
+        assert pixels["phi"] == np.tile(sector_phis(grid), 2).tolist()
 
     def test_malformed_spec_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -497,9 +508,8 @@ def _lorenz_rows(specs, grid):
 
 
 def _qdist_rows(spec, grid):
-    omega = grid_directions(grid)
-    return zip(range(1, grid.n_pixels + 1), omega.theta.tolist(), omega.phi.tolist(),
-               _dist(spec, grid).p.tolist())
+    return zip(range(1, grid.n_pixels + 1), np.repeat(band_thetas(grid), grid.n_phi).tolist(),
+               np.tile(sector_phis(grid), grid.n_theta).tolist(), _dist(spec, grid).p.tolist())
 
 
 def _measures_rows(spec, grid):

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from polmaj import (Direction, EulerRotation, GridSpec, MixedState, PureFockState,
-                    apply_su2, discretize_state, make_analytic, make_coherent,
-                    make_noon, make_phase, make_squeezed, q_analytic, q_on_grid,
-                    random_pure)
+from polmaj import (EulerRotation, GridSpec, MixedState, PureFockState, apply_su2,
+                    discretize_state, make_analytic, make_coherent, make_noon, make_phase,
+                    make_squeezed, q_on_grid, random_pure)
 
 from oracles import q_mixed, q_pure, rotation_matrix, su2_overlap
 
@@ -16,21 +15,21 @@ FOUR_PI = 4.0 * math.pi
 class TestOverlap:
     def test_coherent_at_north_pole(self):
         for n in (0, 1, 4, 9):
-            ov = su2_overlap(make_coherent(n), Direction(0.0, 0.0))
+            ov = su2_overlap(make_coherent(n), 0.0, 0.0)
             assert ov == pytest.approx(1.0, abs=1e-14)
             # at the pole the azimuth only contributes a convention phase e^{i n phi}
-            assert abs(su2_overlap(make_coherent(n), Direction(0.0, 0.3))) == \
+            assert abs(su2_overlap(make_coherent(n), 0.0, 0.3)) == \
                 pytest.approx(1.0, abs=1e-14)
 
     def test_one_photon_example(self):
         # state (1, 0) on basis (|0,1>, |1,0>): overlap is sin(pi/4)
         state = PureFockState(n=1, amps=np.array([1.0, 0.0]))
-        ov = su2_overlap(state, Direction(math.pi / 2, 0.0))
+        ov = su2_overlap(state, math.pi / 2, 0.0)
         assert ov == pytest.approx(math.sin(math.pi / 4), abs=1e-14)
 
     def test_theta_out_of_range(self):
         with pytest.raises(ValueError):
-            q_pure(make_coherent(2), Direction(3.5, 0.0))
+            q_pure(make_coherent(2), 3.5, 0.0)
 
     def test_resolution_of_identity(self):
         # sum over a fine grid of |overlap|^2 (n+1)/(4 pi) dOmega -> 1
@@ -42,11 +41,11 @@ class TestOverlap:
         state = random_pure(3, seed=5)
         thetas = np.linspace(0, np.pi, 7)
         phis = np.linspace(-np.pi, np.pi, 7)
-        arr = su2_overlap(state, Direction(thetas, phis))
+        arr = su2_overlap(state, thetas, phis)
         assert arr.shape == (7,)
         for i in range(7):
             assert arr[i] == pytest.approx(
-                su2_overlap(state, Direction(thetas[i], phis[i])), abs=1e-15)
+                su2_overlap(state, thetas[i], phis[i]), abs=1e-15)
 
 
 class TestQPure:
@@ -55,19 +54,19 @@ class TestQPure:
         state = make_coherent(n)
         for theta in (0.0, 0.4, math.pi / 2, 2.9, math.pi):
             expect = (n + 1) / FOUR_PI * math.cos(theta / 2) ** (2 * n)
-            assert q_pure(state, Direction(theta, 1.3)) == pytest.approx(expect, abs=1e-14)
+            assert q_pure(state, theta, 1.3) == pytest.approx(expect, abs=1e-14)
 
     def test_coherent_peak_value(self):
-        assert q_pure(make_coherent(4), Direction(0.0, 0.0)) == pytest.approx(5 / FOUR_PI)
+        assert q_pure(make_coherent(4), 0.0, 0.0) == pytest.approx(5 / FOUR_PI)
 
     def test_noon2_on_equator(self):
-        got = q_pure(make_noon(2), Direction(math.pi / 2, 0.0))
+        got = q_pure(make_noon(2), math.pi / 2, 0.0)
         assert got == pytest.approx(3.0 / (8.0 * math.pi), abs=1e-14)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(9)
         state = random_pure(7, seed=1)
-        q = q_pure(state, Direction(rng.uniform(0, np.pi, 200), rng.uniform(-np.pi, np.pi, 200)))
+        q = q_pure(state, rng.uniform(0, np.pi, 200), rng.uniform(-np.pi, np.pi, 200))
         assert np.all(q >= 0)
 
     def test_su2_covariance(self):
@@ -81,9 +80,8 @@ class TestQPure:
             theta, phi = rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi)
             v = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
             w = rotation_matrix(rot).T @ v
-            back = Direction(np.arccos(np.clip(w[2], -1, 1)), np.arctan2(w[1], w[0]))
-            assert q_pure(rotated, Direction(theta, phi)) == pytest.approx(
-                q_pure(psi, back), abs=1e-10)
+            back = np.arccos(np.clip(w[2], -1, 1)), np.arctan2(w[1], w[0])
+            assert q_pure(rotated, theta, phi) == pytest.approx(q_pure(psi, *back), abs=1e-10)
 
 
 def _truncated_thermal(nbar, cutoff):
@@ -105,19 +103,17 @@ class TestQMixed:
     def test_single_component_equals_pure(self):
         s = random_pure(4, seed=8)
         mix = MixedState(components=((1.0, s),))
-        omega = Direction(1.1, -0.4)
-        assert q_mixed(mix, omega) == pytest.approx(q_pure(s, omega), abs=1e-15)
+        assert q_mixed(mix, 1.1, -0.4) == pytest.approx(q_pure(s, 1.1, -0.4), abs=1e-15)
 
     def test_antipodal_mixture_symmetric(self):
         north = make_coherent(2)                       # |2,0>
         south = PureFockState(n=2, amps=np.array([1.0, 0, 0]))  # |0,2>
         mix = MixedState(components=((0.5, north), (0.5, south)))
         for theta in (0.2, 1.0, 1.4):
-            a = q_mixed(mix, Direction(theta, 0.7))
-            b = q_mixed(mix, Direction(math.pi - theta, 0.7))
+            a = q_mixed(mix, theta, 0.7)
+            b = q_mixed(mix, math.pi - theta, 0.7)
             assert a == pytest.approx(b, abs=1e-14)
-            expect = 0.5 * (q_pure(north, Direction(theta, 0.7))
-                            + q_pure(south, Direction(theta, 0.7)))
+            expect = 0.5 * (q_pure(north, theta, 0.7) + q_pure(south, theta, 0.7))
             assert a == pytest.approx(expect, abs=1e-15)
 
     def test_thermal_truncation_matches_closed_form(self):
@@ -125,8 +121,8 @@ class TestQMixed:
         mix = _truncated_thermal(nbar, cutoff)
         fam = make_analytic("thermal", nbar)
         thetas = np.linspace(0.0, np.pi, 23)
-        got = q_mixed(mix, Direction(thetas, 0.0))
-        want = q_analytic(fam, Direction(thetas, 0.0))
+        got = q_mixed(mix, thetas, 0.0)
+        want = q_on_grid(fam, thetas, np.zeros(1))[:, 0]
         assert np.max(np.abs(got - want)) < 1e-8
 
     def test_poisson_expansion_matches_glauber(self):
@@ -134,8 +130,8 @@ class TestQMixed:
         mix = _poisson_glauber(nbar, cutoff)
         fam = make_analytic("glauber", nbar)
         thetas = np.linspace(0.0, np.pi, 23)
-        got = q_mixed(mix, Direction(thetas, 0.0))
-        want = q_analytic(fam, Direction(thetas, 0.0))
+        got = q_mixed(mix, thetas, 0.0)
+        want = q_on_grid(fam, thetas, np.zeros(1))[:, 0]
         assert np.max(np.abs(got - want)) < 1e-8
 
 
@@ -143,32 +139,34 @@ class TestQAnalytic:
     def test_thermal_south_pole_value(self):
         fam = make_analytic("thermal", 10)
         expect = 11.0 / (FOUR_PI * 121.0)  # = 1/(44 pi)
-        assert q_analytic(fam, Direction(math.pi, 0.0)) == pytest.approx(expect, abs=1e-15)
+        assert q_on_grid(fam, [math.pi], [0.0])[0, 0] == pytest.approx(expect, abs=1e-15)
         assert expect == pytest.approx(1.0 / (44.0 * math.pi))
 
     def test_vacuum_glauber_uniform(self):
         fam = make_analytic("glauber", 0.0)
         rng = np.random.default_rng(3)
-        q = q_analytic(fam, Direction(rng.uniform(0, np.pi, 50), rng.uniform(-np.pi, np.pi, 50)))
+        q = q_on_grid(fam, rng.uniform(0, np.pi, 50), rng.uniform(-np.pi, np.pi, 50))
         assert np.allclose(q, 1.0 / FOUR_PI, atol=1e-15)
 
     def test_tmsv_equator_value(self):
         fam = make_analytic("tmsv", 10)
         expect = math.sqrt(12.0) / (2.0 * math.pi) / 2.0 ** 1.5
-        assert q_analytic(fam, Direction(math.pi / 2, 0.3)) == pytest.approx(expect, abs=1e-15)
+        assert q_on_grid(fam, [math.pi / 2], [0.3])[0, 0] == pytest.approx(expect, abs=1e-15)
 
     @pytest.mark.parametrize("kind", ["glauber", "thermal", "tmsv"])
     def test_phi_independence_exact(self, kind):
+        # one column, whatever the sectors: the closed forms never read phi
         fam = make_analytic(kind, 7.5)
         thetas = np.linspace(0, np.pi, 11)
-        a = q_analytic(fam, Direction(thetas, np.full(11, -2.0)))
-        b = q_analytic(fam, Direction(thetas, np.full(11, 1.3)))
+        a = q_on_grid(fam, thetas, np.full(4, -2.0))
+        b = q_on_grid(fam, thetas, np.linspace(-np.pi, np.pi, 9))
+        assert a.shape == b.shape == (11, 1)
         assert np.array_equal(a, b)
 
     def test_glauber_minimum_at_south_pole(self):
         fam = make_analytic("glauber", 6.0)
         thetas = np.linspace(0, np.pi, 301)
-        q = q_analytic(fam, Direction(thetas, 0.0))
+        q = q_on_grid(fam, thetas, np.zeros(1))[:, 0]
         assert np.all(q >= q[-1] - 1e-15)
 
 
@@ -190,20 +188,23 @@ class TestNormalizationAndDispatch:
         assert raw == pytest.approx(1.0, abs=1e-3)
 
     def test_q_on_grid_matches_pointwise(self):
+        def _thermal4(obj, theta, phi):  # Q of the thermal family at nbar = 4
+            return 5.0 / FOUR_PI / (1.0 + 4.0 * math.sin(theta / 2) ** 2) ** 2
+
         thetas = np.linspace(0.05, np.pi - 0.05, 6)
         phis = np.linspace(-np.pi, np.pi, 5)
         # a phi-independent Q comes back on one sector: (T, 1), otherwise (T, P)
         for obj, oracle, n_phi in ((random_pure(5, seed=4), q_pure, 5),
                                    (MixedState(components=((0.3, make_coherent(2)),
                                                            (0.7, make_noon(3)))), q_mixed, 5),
-                                   (make_analytic("thermal", 4.0), q_analytic, 1)):
+                                   (make_analytic("thermal", 4.0), _thermal4, 1)):
             grid_vals = q_on_grid(obj, thetas, phis)
             assert grid_vals.shape == (6, n_phi)
             grid_vals = np.broadcast_to(grid_vals, (6, 5))
             for i in range(6):
                 for j in range(5):
                     assert grid_vals[i, j] == pytest.approx(
-                        oracle(obj, Direction(thetas[i], phis[j])), rel=1e-12, abs=1e-15)
+                        oracle(obj, thetas[i], phis[j]), rel=1e-12, abs=1e-15)
 
     def test_single_amplitude_closed_forms(self):
         # sums over m run over the nonzero amplitudes only; large n keeps them honest
@@ -219,5 +220,5 @@ class TestNormalizationAndDispatch:
             q = q_on_grid(state, thetas, phis)
             assert q.shape == (thetas.size, 1)
             np.testing.assert_allclose(np.broadcast_to(q, expect.shape), expect, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(q_pure(state, Direction(thetas[:, None], phis)), expect,
+            np.testing.assert_allclose(q_pure(state, thetas[:, None], phis), expect,
                                        rtol=1e-12, atol=0)

@@ -7,9 +7,9 @@ import pytest
 
 from polmaj import (ALPHA_SWEEP, RENYI_Q_SWEEP, AnalyticQFamily, DiscreteDistribution,
                     EulerRotation, EvaluationError, GridSpec, MixedState, PureFockState,
-                    apply_su2, band_thetas, confidence_interval, discretize_state,
-                    grid_directions, lorenz, make_analytic, make_coherent, make_noon, make_phase,
-                    q_analytic, random_pure, renyi, sector_phis)
+                    apply_su2, band_thetas, confidence_interval, discretize_state, lorenz,
+                    make_analytic, make_coherent, make_noon, make_phase, q_on_grid,
+                    random_pure, renyi, sector_phis)
 from polmaj.cli import parse_state_spec
 
 from oracles import q_mixed, q_pure
@@ -48,14 +48,6 @@ class TestGridDirections:
         got = sector_phis(GridSpec(2, 4))
         assert np.allclose(got, [-math.pi / 2, 0.0, math.pi / 2, math.pi])
 
-    def test_flat_ordering(self):
-        spec = GridSpec(2, 3)
-        omega = grid_directions(spec)
-        thetas, phis = band_thetas(spec), sector_phis(spec)
-        # j = n_phi (l - 1) + k: theta constant inside each band, phi cycling
-        assert np.array_equal(omega.theta, np.repeat(thetas, 3))
-        assert np.array_equal(omega.phi, np.tile(phis, 2))
-
     def test_equal_area_exact(self):
         spec = GridSpec(37, 11)
         dcos = np.diff(np.cos(band_thetas(spec)))
@@ -66,13 +58,14 @@ class TestGridDirections:
 
 def dense_oracle(obj, spec):
     """Pixel probabilities and raw mass from the pointwise Q on every pixel center."""
-    omega = grid_directions(spec)
+    theta = np.repeat(band_thetas(spec), spec.n_phi)
+    phi = np.tile(sector_phis(spec), spec.n_theta)
     if isinstance(obj, AnalyticQFamily):
-        q = q_analytic(obj, omega)
+        q = q_on_grid(obj, theta, phi)[:, 0]        # phi-independent: shape (N, 1)
     elif isinstance(obj, MixedState):
-        q = q_mixed(obj, omega)
+        q = q_mixed(obj, theta, phi)
     else:
-        q = q_pure(obj, omega)
+        q = q_pure(obj, theta, phi)
     raw = q * spec.pixel_solid_angle
     return raw / raw.sum(), float(raw.sum())
 

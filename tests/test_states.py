@@ -127,6 +127,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             MixedState(components=())
 
+    def test_equality_is_identity(self):
+        # the generated __eq__ would compare the amplitude arrays and raise on their truth value
+        a, b = make_coherent(2), make_coherent(2)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+        m1 = MixedState(components=((0.5, a), (0.5, make_coherent(3))))
+        m2 = MixedState(components=((0.5, b), (0.5, make_coherent(3))))
+        assert m1 == m1 and m1 != m2
+        assert len({m1, m2, m1}) == 2
+
     def test_euler_ranges(self):
         EulerRotation(np.pi, np.pi, 0.0)
         with pytest.raises(ValueError):
