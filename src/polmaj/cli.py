@@ -53,8 +53,6 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.tol < math.inf:
             raise StateSpecError(f"tol must be finite and > 0, got {self.tol!r}")
-        if self.fmt not in ("csv", "json"):
-            raise StateSpecError(f"format must be csv or json, got {self.fmt!r}")
 
     @property
     def grid(self) -> GridSpec:
@@ -173,64 +171,10 @@ def verdict_line(verdict: Verdict, label_a: str, label_b: str, glyphs: dict[str,
     return f"{label_a} {glyphs['join']} {label_b}"
 
 
-def _integer(val) -> int:
-    """int(val), refusing the non-integral and non-finite numbers int() would
-    truncate (40.7) or overflow on (1e400 reads as inf)."""
-    if isinstance(val, float) and not val.is_integer():
-        raise ValueError(f"{val!r} is not an integer")
-    return int(val)
-
-
-def load_config_file(path: str) -> dict:
-    """Read a key=value or JSON config file mirroring RunConfig fields."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise StateSpecError(f"cannot read config file {path}: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise StateSpecError(f"config file {path}: invalid JSON ({exc})") from exc
-        if not isinstance(raw, dict):
-            raise StateSpecError(f"config file {path}: expected a JSON object")
-    else:
-        raw = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, val = line.partition("=")
-            if not sep:
-                raise StateSpecError(f"config file {path}:{lineno}: expected key=value")
-            raw[key.strip()] = val.strip()
-    converters = {"n_theta": _integer, "n_phi": _integer, "tol": float, "format": str,
-                  "out": str, "seed": _integer}
-    cfg: dict = {}
-    for key, val in raw.items():
-        if key not in converters:
-            raise StateSpecError(f"config file {path}: unknown key {key!r}")
-        try:
-            # JSON true would pass int() and float() as 1; str() would turn null into "None"
-            if isinstance(val, bool) or converters[key] is str and not isinstance(val, str):
-                raise TypeError(f"{val!r} has the wrong type")
-            cfg["fmt" if key == "format" else key] = converters[key](val)
-        except (TypeError, ValueError) as exc:
-            raise StateSpecError(f"config file {path}: bad value for {key!r}") from exc
-    return cfg
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Layer configuration: flags > config file > defaults."""
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(load_config_file(args.config))
-    for field in fields(RunConfig):
-        flag = getattr(args, field.name, None)
-        if flag is not None:
-            values[field.name] = flag
-    return RunConfig(**values)
+    """RunConfig from the flags that were given; every other field keeps its default."""
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
+                        if getattr(args, f.name) is not None})
 
 
 # CSV tables are formatted and written this many rows at a time, so the text and
@@ -443,7 +387,6 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="default seed for random:... states")
     common.add_argument("--format", dest="fmt", choices=("csv", "json"), help="output format")
     common.add_argument("--out", help="output path (base path for reproduce)")
-    common.add_argument("--config", help="key=value or JSON config file")
     parser = argparse.ArgumentParser(
         prog="polmaj",
         description="Majorization of SU(2) Husimi polarization distributions.")

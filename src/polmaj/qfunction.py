@@ -25,7 +25,7 @@ PolState = Union[PureFockState, MixedState, AnalyticQFamily]
 
 
 def _check_theta(theta: np.ndarray) -> None:
-    if np.any((theta < 0.0) | (theta > np.pi)):
+    if not np.all((theta >= 0.0) & (theta <= np.pi)):    # NaN fails both
         raise ValueError("theta must lie in [0, pi]")
 
 
@@ -66,13 +66,19 @@ def q_on_grid(obj: PolState, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray
     """Q on the outer-product grid thetas x phis: shape (len(thetas), 1) when Q does
     not depend on phi (an analytic family, a pure state with a single nonzero
     amplitude, or a mixture of those), otherwise (len(thetas), len(phis)).
+    thetas and phis must be 1-D, thetas in [0, pi] and phis finite; anything else,
+    NaN included, raises ValueError.
 
     Equivalent to pointwise evaluation but factorizes the theta-only coefficients
     from the azimuthal phases, which is what makes fine grids cheap.
     """
     thetas = np.asarray(thetas, float)
     phis = np.asarray(phis, float)
+    if thetas.ndim != 1 or phis.ndim != 1:
+        raise ValueError("thetas and phis must be 1-D arrays")
     _check_theta(thetas)
+    if not np.all(np.isfinite(phis)):
+        raise ValueError("phi must be finite")
     if isinstance(obj, PureFockState):
         m, coeff = _coefficients(obj, thetas)        # (T, M) over the M nonzero amplitudes
         if m.size == 1:                              # |c_m e^{i m phi}| does not vary with phi

@@ -29,16 +29,15 @@ class PureFockState:
     amps: np.ndarray
 
     def __post_init__(self):
-        if self.n < 0 or self.n != int(self.n):
-            raise ValueError(f"total photon number must be a nonnegative integer, got {self.n}")
+        n = _photon_number(self.n)
         amps = np.array(self.amps, dtype=complex)
-        if amps.shape != (self.n + 1,):
-            raise ValueError(f"expected {self.n + 1} amplitudes, got shape {amps.shape}")
+        if amps.shape != (n + 1,):
+            raise ValueError(f"expected {n + 1} amplitudes, got shape {amps.shape}")
         norm2 = float(np.sum(np.abs(amps) ** 2))
         if abs(norm2 - 1.0) > NORM_ATOL:
             raise ValueError(f"amplitudes not normalized: sum |c_m|^2 = {norm2!r}")
         amps.flags.writeable = False
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "amps", amps)
 
 

@@ -14,7 +14,7 @@ from polmaj import (ALPHA_SWEEP, RENYI_Q_SWEEP, EvaluationError, GridSpec, Relat
                     band_thetas, confidence_interval, discretize_state, lorenz, renyi,
                     sector_phis)
 from polmaj.cli import (FIGURES, GLYPHS_ASCII, GLYPHS_UNICODE, RunConfig, StateSpecError,
-                        _write, assign_labels, build_config, load_config_file, main,
+                        _write, assign_labels, main,
                         make_parser, parse_state_spec, verdict_line)
 from polmaj.states import AnalyticQFamily, PureFockState
 
@@ -117,28 +117,6 @@ class TestVerdictLine:
 
 
 class TestConfig:
-    def test_key_value_file(self, tmp_path):
-        path = tmp_path / "cfg"
-        path.write_text("# comment\nn_theta=60\nn_phi = 70\ntol=1e-4\nformat=json\nseed=5\n")
-        cfg = load_config_file(str(path))
-        assert cfg == {"n_theta": 60, "n_phi": 70, "tol": 1e-4, "fmt": "json", "seed": 5}
-
-    def test_json_file(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"n_theta": 80, "tol": 0.01}))
-        assert load_config_file(str(path)) == {"n_theta": 80, "tol": 0.01}
-
-    def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "cfg"
-        path.write_text("resolution=9\n")
-        with pytest.raises(StateSpecError):
-            load_config_file(str(path))
-
-    def test_missing_config_file_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        assert main(["qdist", "coherent:n=1", "--config", "no_such_file"]) == 2
-        assert "config file" in capsys.readouterr().err
-
     def test_unwritable_out_exits_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         rc = main(["qdist", "coherent:n=1", "--n-theta", "4", "--n-phi", "4",
@@ -146,17 +124,22 @@ class TestConfig:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
-    def test_flag_beats_config_beats_default(self, tmp_path, monkeypatch):
+    def test_given_flag_wins_unset_keeps_default(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        cfgfile = tmp_path / "cfg"
-        cfgfile.write_text("n_theta=50\nn_phi=50\n")
-        rc = main(["qdist", "thermal:nbar=0", "--config", str(cfgfile),
-                   "--n-theta", "20", "--out", "q.csv"])
-        assert rc == 0
+        assert main(["qdist", "thermal:nbar=0", "--n-theta", "20", "--out", "q.csv"]) == 0
         comments, _, rows = read_csv(tmp_path / "q.csv")
-        assert "n_theta=20" in comments      # flag wins
-        assert "n_phi=50" in comments        # config file beats default
-        assert len(rows) == 20 * 50
+        assert "n_theta=20" in comments      # the flag wins
+        assert "n_phi=400" in comments       # an unset flag keeps its default
+        assert len(rows) == 20 * 400
+
+    def test_config_flag_is_unknown(self, tmp_path, monkeypatch, capsys):
+        # flags are the one settings channel
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["qdist", "coherent:n=1", "--config", "cfg"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_bad_tol_rejected(self):
         for tol in (0.0, float("nan"), float("inf")):
@@ -170,36 +153,6 @@ class TestConfig:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "tol must be finite" in captured.err
-
-    @pytest.mark.parametrize("key", ["n_theta", "n_phi", "seed"])
-    def test_overflowing_config_number_exits_2(self, key, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "cfg.json").write_text(f'{{"{key}": 1e400}}')     # JSON reads inf
-        assert main(["qdist", "coherent:n=1", "--config", "cfg.json"]) == 2
-        assert key in capsys.readouterr().err
-
-    @pytest.mark.parametrize("key", ["n_theta", "n_phi", "seed"])
-    def test_fractional_config_number_exits_2(self, key, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "cfg.json").write_text(f'{{"{key}": 40.7}}')
-        assert main(["qdist", "coherent:n=1", "--config", "cfg.json"]) == 2
-        assert key in capsys.readouterr().err
-
-    def test_non_finite_tol_config_exits_2(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "cfg").write_text("tol=nan\n")
-        assert main(["compare", "coherent:n=2", "phase:n=2", *SMALL, "--config", "cfg"]) == 2
-
-    @pytest.mark.parametrize("cfg", [{"n_theta": True, "n_phi": 8}, {"seed": True},
-                                     {"tol": True}, {"format": True}, {"format": 1},
-                                     {"out": None}, {"out": 5}])
-    def test_config_value_of_wrong_json_type_exits_2(self, cfg, tmp_path, monkeypatch, capsys):
-        # booleans are not numbers here, and format and out must be JSON strings
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-        assert main(["qdist", "coherent:n=1", "--n-phi", "8", "--config", "cfg.json"]) == 2
-        assert "bad value" in capsys.readouterr().err
-        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("char", ["\n", "\r", "\t"], ids=["lf", "cr", "tab"])
@@ -657,7 +610,7 @@ class TestSubcommandInterface:
         out = capsys.readouterr().out
         first = out.splitlines()[0]
         assert first.startswith(f"usage: polmaj {command} [-h] [--n-theta N_THETA]")
-        assert first.endswith(f"[--config CONFIG] {usage}")
+        assert first.endswith(f"[--out OUT] {usage}")
 
 
 class TestStdoutGlyphs:

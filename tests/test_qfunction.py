@@ -206,6 +206,18 @@ class TestNormalizationAndDispatch:
                     assert grid_vals[i, j] == pytest.approx(
                         oracle(obj, thetas[i], phis[j]), rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize("obj", [make_phase(2), make_analytic("thermal", 1.0)],
+                             ids=["pure", "analytic"])
+    @pytest.mark.parametrize("thetas, phis", [
+        (0.5, [0.0]), (np.full((2, 2), 0.5), [0.0]), ([0.5], np.zeros((1, 1))),
+        ([math.nan], [0.0]), ([-0.1], [0.0]), ([math.pi + 0.1], [0.0]),
+        ([0.5], [math.nan]), ([0.5], [math.inf]),
+    ], ids=["scalar-theta", "2d-theta", "2d-phi", "nan-theta", "negative-theta",
+            "theta-above-pi", "nan-phi", "inf-phi"])
+    def test_q_on_grid_refuses_input_outside_its_contract(self, obj, thetas, phis):
+        with pytest.raises(ValueError):
+            q_on_grid(obj, thetas, phis)
+
     def test_single_amplitude_closed_forms(self):
         # sums over m run over the nonzero amplitudes only; large n keeps them honest
         phis = np.linspace(-np.pi, np.pi, 5)

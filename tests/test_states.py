@@ -104,6 +104,12 @@ class TestConstructors:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("n", [float("inf"), True, float("nan")])
+    def test_bad_photon_number_rejected_like_make(self, n):
+        # the rule every make_* applies: no bool, no non-finite value
+        with pytest.raises(ValueError, match="photon number must be"):
+            PureFockState(n=n, amps=np.array([0.0, 1.0]))
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             PureFockState(n=2, amps=np.array([1.0, 0.0]))
