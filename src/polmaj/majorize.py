@@ -24,8 +24,8 @@ from .sphere_grid import DiscreteDistribution, owned_read_only
 # built-in state comparisons (~1.6e-2).
 DEFAULT_TOL = 1e-3
 
-# LorenzCurve checks S_k in windows of this many increments, so its temporaries
-# stay in cache whatever N is.
+# LorenzCurve checks S_k, and compare differences two curves, in windows of this
+# many values, so their temporaries stay in cache whatever N is.
 _BLOCK = 1 << 15
 
 
@@ -120,7 +120,7 @@ def lorenz(dist: DiscreteDistribution) -> LorenzCurve:
 
 
 def _check_tol(tol: float) -> None:
-    if not 0.0 <= tol < np.inf:
+    if isinstance(tol, (bool, np.bool_)) or not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
 
 
@@ -135,16 +135,24 @@ def compare(a: LorenzCurve, b: LorenzCurve, tol: float = DEFAULT_TOL) -> Verdict
     if a.n != b.n:
         raise ValueError(f"curve length mismatch: {a.n} vs {b.n} (distributions must share a grid)")
     _check_tol(tol)
-    d = a.s - b.s
-    up = float(d.max())
-    dn = float(d.min())
+    # S(a) - S(b) in cache-sized windows; a window's extreme replaces the running one
+    # only when strictly beyond it, so the witnesses are the first-occurrence
+    # argmax and argmin of the whole difference
+    up, dn, k_up, k_dn = -np.inf, np.inf, 0, 0
+    for start in range(0, a.n, _BLOCK):
+        d = a.s[start:start + _BLOCK] - b.s[start:start + _BLOCK]
+        i, j = int(d.argmax()), int(d.argmin())
+        if d[i] > up:
+            up, k_up = float(d[i]), start + i
+        if d[j] < dn:
+            dn, k_dn = float(d[j]), start + j
     if up <= tol and -dn <= tol:
         return Verdict(Relation.EQUAL)
     if dn >= -tol:
         return Verdict(Relation.MAJORIZES)
     if up <= tol:
         return Verdict(Relation.MAJORIZED_BY)
-    return Verdict(Relation.INCOMPARABLE, witnesses=(int(d.argmax()) + 1, int(d.argmin()) + 1))
+    return Verdict(Relation.INCOMPARABLE, witnesses=(k_up + 1, k_dn + 1))
 
 
 GLYPHS_UNICODE = {"prec": "≺", "join": "⋈", "equal": "≡"}

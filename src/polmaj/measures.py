@@ -20,7 +20,7 @@ ALPHA_SWEEP = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
 def confidence_interval(dist: DiscreteDistribution, alpha: float) -> int:
     """Smallest pixel count K whose largest-K probabilities reach total alpha."""
-    if not 0.0 < alpha <= 1.0:
+    if isinstance(alpha, (bool, np.bool_)) or not 0.0 < alpha <= 1.0:
         raise ValueError(f"confidence level must lie in (0, 1], got {alpha!r}")
     if alpha == 1.0:    # S_k can round to 1.0 before the last pixel that carries mass
         return int(np.count_nonzero(dist.values)) * dist.repeat
@@ -39,7 +39,7 @@ def renyi(dist: DiscreteDistribution, q: float) -> float:
     Zero-probability pixels contribute nothing for every q.  The sums run over
     dist.values, one term per stored value, times dist.repeat.
     """
-    if not q > 0.0:
+    if isinstance(q, (bool, np.bool_)) or not q > 0.0:
         raise ValueError(f"entropy index must be > 0, got {q!r}")
     p = dist.values[dist.values > 0.0]
     r = dist.repeat

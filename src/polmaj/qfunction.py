@@ -23,6 +23,10 @@ from .states import AnalyticQFamily, MixedState, PureFockState
 
 PolState = Union[PureFockState, MixedState, AnalyticQFamily]
 
+# q_on_grid evaluates a pure state's complex overlap in band blocks of at most this
+# many elements (8 MB), so a 400^2 grid is one block and 800^2 is two
+_QBLOCK = 1 << 19
+
 
 def _check_theta(theta: np.ndarray) -> None:
     if not np.all((theta >= 0.0) & (theta <= np.pi)):    # NaN fails both
@@ -84,12 +88,17 @@ def q_on_grid(obj: PolState, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray
         if m.size == 1:                              # |c_m e^{i m phi}| does not vary with phi
             phis = phis[:1]
         phases = np.exp(1j * np.outer(m, phis))      # (M, P)
-        # the complex (T, P) product stays: a real matmul of the trigonometric
-        # factors sum_d G_d e^{i d phi} matches Q to 1e-15, but without this 2N
-        # transient glibc trims the heap after every perfbench lieb-sweep operation
-        # and faults it back in (593 minor faults per operation against 0)
-        q = np.abs(coeff @ phases)                   # squared and scaled in place
-        np.square(q, out=q)
+        # |overlap| goes into q one balanced band block of the complex product at a
+        # time, bit for bit the whole product's (tests pin it), as long as every
+        # block has two bands: a one-band product is a matrix-vector product and
+        # rounds differently.  400^2 stays one block: without that transient glibc
+        # trims the heap after each perfbench lieb-sweep operation and refaults it
+        q = np.empty((thetas.size, phis.size))
+        n_blocks = max(1, min(-(-q.size // _QBLOCK), thetas.size // 2))
+        bounds = [thetas.size * i // n_blocks for i in range(n_blocks + 1)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            np.abs(coeff[lo:hi] @ phases, out=q[lo:hi])
+        np.square(q, out=q)                          # squared and scaled in place
         q *= (obj.n + 1) / (4.0 * np.pi)
         return q
     if isinstance(obj, MixedState):

@@ -23,10 +23,11 @@ class EvaluationError(ValueError):
 
 
 def owned_read_only(a) -> np.ndarray:
-    """a as a float array that nobody can write: a itself when it owns its data and
-    is already read-only, otherwise a read-only copy."""
+    """a as a float array that nobody can write: a itself when it and the array
+    that owns its data are already read-only, otherwise a read-only copy."""
     a = np.asarray(a, dtype=float)
-    if a.flags.writeable or not a.flags.owndata:
+    owner = a if a.base is None else a.base
+    if a.flags.writeable or not isinstance(owner, np.ndarray) or owner.flags.writeable:
         a = a.copy()
     a.flags.writeable = False
     return a
@@ -67,6 +68,22 @@ def _check_repeat(repeat) -> int:
     return int(repeat)
 
 
+def _normalize(w: np.ndarray, repeat: int) -> float:
+    """Divide the float weights w, each standing for `repeat` pixels, by their total
+    in place and make w read-only; return the total.  Raises EvaluationError for
+    the weights that `DiscreteDistribution.from_weights` refuses."""
+    if w.size and not (w.min() >= 0.0 and w.max() < math.inf):
+        raise EvaluationError("pixel weights must be finite and >= 0")
+    with np.errstate(over="ignore"):  # an infinite total is reported just below
+        total = float(w.sum()) * repeat
+    if not 0.0 < total < math.inf:
+        raise EvaluationError("pixel weights vanish everywhere" if total <= 0.0
+                              else "pixel weights sum beyond the float range")
+    w /= total
+    w.flags.writeable = False
+    return total
+
+
 # eq=False: it holds arrays, so it compares and hashes by identity
 @dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
@@ -102,17 +119,8 @@ class DiscreteDistribution:
         weights, or weights whose total overflows, raise EvaluationError; a repeat
         that is not a positive integer raises a plain ValueError first."""
         repeat = _check_repeat(repeat)
-        w = np.asarray(weights, dtype=float)
-        if w.size and not (w.min() >= 0.0 and w.max() < math.inf):
-            raise EvaluationError("pixel weights must be finite and >= 0")
-        with np.errstate(over="ignore"):  # an infinite total is reported just below
-            total = float(w.sum()) * repeat
-        if not 0.0 < total < math.inf:
-            raise EvaluationError("pixel weights vanish everywhere" if total <= 0.0
-                                  else "pixel weights sum beyond the float range")
-        values = w / total
-        values.flags.writeable = False  # a fresh array nobody else holds: kept, not copied
-        return cls(values=values, raw_mass=total, repeat=repeat)
+        w = np.array(weights, dtype=float)  # a copy: the caller's array is never written
+        return cls(values=w, raw_mass=_normalize(w, repeat), repeat=repeat)
 
     @property
     def n_pixels(self) -> int:
@@ -140,11 +148,15 @@ class DiscreteDistribution:
         within a few ulp of the exact sum, where a sequential sum over N pixels
         drifts by ~1e-12 at N = 1200^2.
         """
-        desc = np.sort(self.values)[::-1]
         if self.repeat == 1:
-            s = np.cumsum(desc)
+            # -p sorted ascending is p sorted descending, negated exactly, so S is
+            # built in one N-sized array: the negated sums divide to S_k bit for bit
+            s = np.negative(self.values)
+            s.sort()
+            np.cumsum(s, out=s)
             s /= s[-1]
         else:
+            desc = np.sort(self.values)[::-1]
             ends = np.cumsum(desc * self.repeat)
             runs = desc[:, None] * np.arange(1, self.repeat + 1, dtype=float)
             runs[1:] += ends[:-1, None]
@@ -172,5 +184,7 @@ def discretize_state(obj: PolState, spec: GridSpec) -> DiscreteDistribution:
     sum; raw_mass keeps the total before normalization as a sampling diagnostic.
     A phi-independent Q comes back on one sector and is repeated over all n_phi."""
     q = q_on_grid(obj, band_thetas(spec), sector_phis(spec))
-    return DiscreteDistribution.from_weights((q * spec.pixel_solid_angle).ravel(),
-                                             repeat=spec.n_phi if q.shape[1] == 1 else 1)
+    repeat = spec.n_phi if q.shape[1] == 1 else 1
+    q *= spec.pixel_solid_angle     # weighted and normalized in Q's own buffer, which
+    total = _normalize(q, repeat)   # the distribution keeps: no N-sized copy
+    return DiscreteDistribution(values=q.ravel(), raw_mass=total, repeat=repeat)

@@ -34,7 +34,7 @@ class PureFockState:
         if amps.shape != (n + 1,):
             raise ValueError(f"expected {n + 1} amplitudes, got shape {amps.shape}")
         norm2 = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm2 - 1.0) > NORM_ATOL:
+        if not abs(norm2 - 1.0) <= NORM_ATOL:          # NaN fails it
             raise ValueError(f"amplitudes not normalized: sum |c_m|^2 = {norm2!r}")
         amps.flags.writeable = False
         object.__setattr__(self, "n", n)
@@ -52,11 +52,14 @@ class MixedState:
         comps = tuple((float(w), s) for w, s in self.components)
         if not comps:
             raise ValueError("mixture needs at least one component")
+        for _, s in comps:
+            if not isinstance(s, PureFockState):
+                raise ValueError(f"mixture components must be PureFockState, got {type(s).__name__}")
         weights = np.array([w for w, _ in comps])
-        if np.any(weights < 0):
+        if not np.all(weights >= 0):                   # NaN fails it
             raise ValueError("mixture weights must be nonnegative")
         total = float(weights.sum())
-        if abs(total - 1.0) > NORM_ATOL:
+        if not abs(total - 1.0) <= NORM_ATOL:
             raise ValueError(f"mixture weights must sum to 1, got {total!r}")
         object.__setattr__(self, "components", comps)
 
@@ -72,6 +75,8 @@ class AnalyticQFamily:
     def __post_init__(self):
         if self.kind not in ANALYTIC_KINDS:
             raise ValueError(f"unknown family {self.kind!r}; expected one of {sorted(ANALYTIC_KINDS)}")
+        if isinstance(self.nbar, (bool, np.bool_)):
+            raise ValueError(f"mean photon number must be a number, got {self.nbar!r}")
         nbar = float(self.nbar) + 0.0                 # -0.0 becomes 0.0
         if not np.isfinite(nbar) or nbar < 0:
             raise ValueError(f"mean photon number must be finite and >= 0, got {self.nbar!r}")

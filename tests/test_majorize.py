@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 import polmaj.majorize as majmod
 from polmaj import (DiscreteDistribution, GridSpec, LorenzCurve, Relation, Verdict, compare,
-                    discretize_state, lorenz, make_analytic, partial_order, render_chain)
+                    discretize_state, lorenz, make_analytic, make_coherent, make_phase,
+                    partial_order, random_pure, render_chain)
 
 from oracles import permutation_mix, t_transform
 
@@ -267,6 +269,15 @@ class TestCompare:
             with pytest.raises(ValueError, match="tol"):
                 compare(a, b, tol)
 
+    @pytest.mark.parametrize("tol", [True, False, np.True_])
+    def test_rejects_bool_tol(self, tol):
+        # compare(a, b, True) used to run with tol = 1.0
+        c = curve_of(0.4, 0.35, 0.25)
+        with pytest.raises(ValueError, match="tol"):
+            compare(c, c, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            partial_order([("a", dist(0.5, 0.5))], tol=tol)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             compare(curve_of(1.0), curve_of(0.5, 0.5))
@@ -295,6 +306,88 @@ class TestCompare:
         assert ba.relation is expected
         if ab.relation is Relation.INCOMPARABLE:
             assert ba.witnesses == (ab.witnesses[1], ab.witnesses[0])
+
+
+def whole_array_verdict(a, b, tol):
+    """compare's rule read off the whole difference at once: (relation, witnesses)."""
+    d = a.s - b.s
+    up, dn = float(d.max()), float(d.min())
+    if up <= tol and -dn <= tol:
+        return Relation.EQUAL, None
+    if dn >= -tol:
+        return Relation.MAJORIZES, None
+    if up <= tol:
+        return Relation.MAJORIZED_BY, None
+    return Relation.INCOMPARABLE, (int(d.argmax()) + 1, int(d.argmin()) + 1)
+
+
+class TestWindowedCompare:
+    """compare reads S(a) - S(b) in windows of _BLOCK values; the verdict and the
+    first-occurrence witnesses must be those of the whole difference."""
+
+    # S_a - S_b = (1, 0, -1, -1, -1, 0, 0, 0) / 8: the minimum ties at k = 3, 4, 5
+    A = (3, 1, 1, 1, 1, 1, 0, 0)
+    B = (2, 2, 2, 1, 1, 0, 0, 0)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 8, 16])
+    def test_ties_across_a_window_edge_keep_the_first(self, block, monkeypatch):
+        # windows of 2, 3 and 4 put an edge inside the tie; 3 ends a window on k = 3
+        a, b = lorenz(dist_from_ints(self.A)), lorenz(dist_from_ints(self.B))
+        monkeypatch.setattr(majmod, "_BLOCK", block)
+        assert compare(a, b, 0.01) == Verdict(Relation.INCOMPARABLE, (1, 3))
+        assert compare(b, a, 0.01) == Verdict(Relation.INCOMPARABLE, (3, 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_whole_difference(self, data):
+        n = data.draw(st.integers(1, 12))
+        positive = st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(
+            lambda w: sum(w) > 0)
+        a = lorenz(dist_from_ints(data.draw(positive)))
+        b = lorenz(dist_from_ints(data.draw(positive)))
+        tol = data.draw(st.sampled_from([0.0, 1e-12, 0.05]))
+        block = data.draw(st.sampled_from([1, 2, 3, 5]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(majmod, "_BLOCK", block)
+            v = compare(a, b, tol)
+        assert (v.relation, v.witnesses) == whole_array_verdict(a, b, tol)
+
+    def test_matches_whole_difference_over_full_windows(self):
+        # 80,000 values: two full windows of 32,768 and a short one; at tol 0 the
+        # witnesses fall in the first two windows and the last value
+        spec = GridSpec(200, 400)
+        curves = [lorenz(discretize_state(random_pure(n, seed=1), spec)) for n in (3, 5, 7)]
+        for a in curves:
+            for b in curves:
+                for tol in (0.0, 1e-3):
+                    v = compare(a, b, tol)
+                    assert (v.relation, v.witnesses) == whole_array_verdict(a, b, tol)
+
+
+class TestStageMemory:
+    def test_traced_peaks_at_800(self):
+        # Q in one (T, P) array plus a band block of the complex product, weighted and
+        # normalized in place; the curve in one array; the difference in windows
+        spec = GridSpec(800, 800)
+        ref = lorenz(discretize_state(make_coherent(4), spec))
+        n_bytes = 8 * spec.n_pixels
+        tracemalloc.start()
+        try:
+            d = discretize_state(make_phase(4), spec)
+            discretized = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            c = lorenz(d)
+            curve = tracemalloc.get_traced_memory()[1] - held
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            compare(c, ref)
+            compared = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert discretized <= 2.1 * n_bytes
+        assert curve <= 1.15 * n_bytes
+        assert compared <= 0.2 * n_bytes
 
 
 class TestTTransform:

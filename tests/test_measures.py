@@ -49,9 +49,11 @@ class TestConfidenceInterval:
                 confidence_interval(d, alpha)
 
     def test_one_sort_per_distribution(self, monkeypatch):
+        # the sorted sums are built once, and the curve and every alpha read that cache
         d = discretize_state(make_noon(3), GridSpec(20, 30))
-        sort, calls = np.sort, []
-        monkeypatch.setattr(np, "sort", lambda *a, **k: calls.append(1) or sort(*a, **k))
+        cached = DiscreteDistribution.__dict__["descending_cumsum"]
+        build, calls = cached.func, []
+        monkeypatch.setattr(cached, "func", lambda dist: calls.append(1) or build(dist))
         lorenz(d)
         for alpha in ALPHA_SWEEP:
             confidence_interval(d, alpha)
@@ -63,6 +65,19 @@ class TestConfidenceInterval:
         d = DiscreteDistribution.from_weights(np.asarray(w, dtype=float))
         ks = [confidence_interval(d, a) for a in ALPHA_SWEEP]
         assert all(k2 >= k1 for k1, k2 in zip(ks, ks[1:]))
+
+
+class TestBoolArguments:
+    # a bool is not a level or an index: True used to read as 1.0
+    @pytest.mark.parametrize("flag", [True, False, np.True_])
+    def test_confidence_level_rejects_bool(self, flag):
+        with pytest.raises(ValueError, match="confidence level"):
+            confidence_interval(dist(0.5, 0.5), flag)
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_])
+    def test_entropy_index_rejects_bool(self, flag):
+        with pytest.raises(ValueError, match="entropy index"):
+            renyi(dist(0.5, 0.5), flag)
 
 
 class TestRenyi:

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from polmaj import (EulerRotation, GridSpec, MixedState, PureFockState, apply_su2,
+import polmaj.qfunction as qmod
+from polmaj import (EulerRotation, GridSpec, MixedState, PureFockState, apply_su2, band_thetas,
                     discretize_state, make_analytic, make_coherent, make_noon, make_phase,
-                    make_squeezed, q_on_grid, random_pure)
+                    make_squeezed, q_on_grid, random_pure, sector_phis)
 
 from oracles import q_mixed, q_pure, rotation_matrix, su2_overlap
 
@@ -234,3 +235,40 @@ class TestNormalizationAndDispatch:
             np.testing.assert_allclose(np.broadcast_to(q, expect.shape), expect, rtol=1e-12, atol=0)
             np.testing.assert_allclose(q_pure(state, thetas[:, None], phis), expect,
                                        rtol=1e-12, atol=0)
+
+
+def _whole_product_q(state, thetas, phis):
+    """Q of a phi-dependent pure state from one complex (T, P) product, unblocked."""
+    m, coeff = qmod._coefficients(state, thetas)
+    q = np.abs(coeff @ np.exp(1j * np.outer(m, phis)))
+    np.square(q, out=q)
+    q *= (state.n + 1) / FOUR_PI
+    return q
+
+
+PHI_DEPENDENT = {"phase": make_phase(4), "random": random_pure(6, seed=2),
+                 "rotated-coherent": apply_su2(make_coherent(5), EulerRotation(0.3, 1.1, -0.4))}
+
+
+class TestBandBlocks:
+    """q_on_grid takes |overlap| one band block at a time; Q must not depend on the blocks."""
+
+    # 400^2 is one block, 800^2 two of 400 bands, 1001 x 600 two of 501 and 500 bands
+    @pytest.mark.parametrize("spec", [GridSpec(400, 400), GridSpec(800, 800), GridSpec(1001, 600)],
+                             ids=["400^2", "800^2", "1001x600"])
+    @pytest.mark.parametrize("name", list(PHI_DEPENDENT))
+    def test_blocks_equal_one_product(self, name, spec):
+        thetas, phis = band_thetas(spec), sector_phis(spec)
+        assert np.array_equal(q_on_grid(PHI_DEPENDENT[name], thetas, phis),
+                              _whole_product_q(PHI_DEPENDENT[name], thetas, phis))
+
+    @pytest.mark.parametrize("qblock", [1, 100, 400])
+    def test_many_uneven_blocks(self, qblock, monkeypatch):
+        # 37 bands of 23 sectors in 18, 9 and 3 blocks of unequal sizes; a block never
+        # shrinks below two bands, whose one-row product would round differently
+        spec = GridSpec(37, 23)
+        thetas, phis = band_thetas(spec), sector_phis(spec)
+        monkeypatch.setattr(qmod, "_QBLOCK", qblock)
+        for state in PHI_DEPENDENT.values():
+            assert np.array_equal(q_on_grid(state, thetas, phis),
+                                  _whole_product_q(state, thetas, phis))

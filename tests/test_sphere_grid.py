@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polmaj import (ALPHA_SWEEP, RENYI_Q_SWEEP, AnalyticQFamily, DiscreteDistribution,
                     EulerRotation, EvaluationError, GridSpec, MixedState, PureFockState,
@@ -140,7 +142,8 @@ class TestDiscretize:
         d = discretize_state(make_phase(3), GridSpec(20, 30))
         assert d.repeat == 1
         assert d.values is spy_values[0] and d.p is spy_values[0]
-        assert d.p.flags.owndata and not d.p.flags.writeable
+        # Q's own buffer, raveled: neither d.p nor the array owning its data is writeable
+        assert not d.p.flags.writeable and not (d.p.base if d.p.base is not None else d.p).flags.writeable
 
     def test_keeps_its_band_values(self, spy_values):
         # a phi-independent state keeps one value per band, uncopied; p is built from it
@@ -153,7 +156,8 @@ class TestDiscretize:
     @pytest.mark.parametrize("obj", [make_analytic("thermal", 10.0), make_coherent(4),
                                      random_pure(6, seed=1)], ids=["thermal", "coherent", "random"])
     def test_peak_memory(self, obj):
-        # q on the grid, q weighted, p: the pure states add the complex amplitude sum
+        # Q's own array, weighted and normalized in place; the pure states add the
+        # complex product, one band block at 600^2
         spec = GridSpec(600, 600)
         tracemalloc.start()
         try:
@@ -206,6 +210,15 @@ class TestDiscreteDistribution:
         assert d.raw_mass == pytest.approx(8.0)
         with pytest.raises(ValueError):
             DiscreteDistribution.from_weights([0.0, 0.0])
+
+    @pytest.mark.parametrize("repeat", [1, 3])
+    def test_from_weights_leaves_its_argument_unchanged(self, repeat):
+        # it normalizes its own copy: the caller's array keeps its values and stays writeable
+        w = np.array([2.0, 6.0, 0.0, 8.0])
+        d = DiscreteDistribution.from_weights(w, repeat=repeat)
+        assert w.tolist() == [2.0, 6.0, 0.0, 8.0] and w.flags.writeable
+        assert not np.shares_memory(d.values, w)
+        assert d.values.tolist() == [0.125 / repeat, 0.375 / repeat, 0.0, 0.5 / repeat]
 
     def test_read_only(self):
         d = DiscreteDistribution.from_weights([1.0, 3.0])
@@ -319,7 +332,7 @@ class TestRepeatedStorage:
         assert "p" not in d.__dict__
 
     def test_sort_of_every_pixel_allocates_no_extra_copy(self):
-        # a repeat-1 distribution sorts into one array and accumulates into another
+        # a repeat-1 distribution negates, sorts and accumulates in one array
         d = discretize_state(random_pure(6, seed=2), GridSpec(400, 400))
         assert d.repeat == 1
         tracemalloc.start()
@@ -328,7 +341,22 @@ class TestRepeatedStorage:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.2 * d.p.nbytes
+        assert peak <= 1.1 * d.p.nbytes
+
+    @given(w=st.lists(st.one_of(st.integers(0, 3), st.floats(0.0, 1e6)), min_size=1,
+                      max_size=40).filter(lambda w: sum(w) > 0))
+    @settings(max_examples=150, deadline=None)
+    def test_dense_curve_is_the_sorted_cumsum(self, w):
+        # -p sorted, accumulated and divided by its last sum: S_k bit for bit
+        d = DiscreteDistribution.from_weights(w)
+        s = np.cumsum(np.sort(d.values)[::-1])
+        assert np.array_equal(d.descending_cumsum, s / s[-1])
+
+    @pytest.mark.parametrize("obj", [random_pure(6, seed=2), make_phase(4)], ids=["random", "phase"])
+    def test_dense_curve_of_a_state_is_the_sorted_cumsum(self, obj):
+        d = discretize_state(obj, GridSpec(400, 400))
+        s = np.cumsum(np.sort(d.values)[::-1])
+        assert np.array_equal(d.descending_cumsum, s / s[-1])
 
 
 class TestRotationRobustness:

@@ -118,6 +118,32 @@ class TestValidation:
         with pytest.raises(ValueError):
             PureFockState(n=1, amps=np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("amps", [[math.nan, 1.0], [math.nan, math.nan], [math.inf, 0.0]],
+                             ids=["one-nan", "all-nan", "inf"])
+    def test_non_finite_amplitudes_rejected(self, amps):
+        # a NaN norm fails the normalization check instead of reaching Q as NaN
+        with pytest.raises(ValueError, match="not normalized"):
+            PureFockState(n=1, amps=np.array(amps))
+
+    @pytest.mark.parametrize("weights", [(math.nan, 1.0), (math.nan, math.nan), (0.5, math.nan)])
+    def test_nan_mixture_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="mixture weights"):
+            MixedState(components=tuple(zip(weights, (make_coherent(2), make_noon(2)))))
+
+    @pytest.mark.parametrize("component", ["not a state", None, make_analytic("thermal", 1.0)],
+                             ids=["str", "none", "analytic"])
+    def test_mixture_of_non_states_rejected(self, component):
+        with pytest.raises(ValueError, match="PureFockState"):
+            MixedState(components=((1.0, component),))
+        with pytest.raises(ValueError, match="PureFockState"):
+            MixedState(components=((0.5, make_coherent(2)), (0.5, component)))
+
+    @pytest.mark.parametrize("nbar", [True, False, np.True_])
+    def test_bool_mean_photon_number_rejected(self, nbar):
+        # a bool is not a photon number, as for n: make_analytic("thermal", True) was nbar 1.0
+        with pytest.raises(ValueError, match="mean photon number"):
+            make_analytic("thermal", nbar)
+
     def test_amps_read_only(self):
         s = make_coherent(2)
         with pytest.raises(ValueError):
