@@ -11,6 +11,7 @@ Usage:
 --fast uses a 100x100 grid (handy smoke run); default is the full 400x400.
 """
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -18,13 +19,14 @@ from polmaj.cli import FIGURES, main as polmaj_main
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    fast = "--fast" in argv
-    args = [a for a in argv if a != "--fast"]
-    outdir = Path(args[0]) if args else Path("figure_data")
+    parser = argparse.ArgumentParser(description="Regenerate the fig3..fig8 datasets.")
+    parser.add_argument("outdir", nargs="?", type=Path, default=Path("figure_data"))
+    parser.add_argument("--fast", action="store_true", help="100x100 grid instead of 400x400")
+    args = parser.parse_args(argv)
+    outdir = args.outdir
     outdir.mkdir(parents=True, exist_ok=True)
 
-    grid_flags = ["--n-theta", "100", "--n-phi", "100"] if fast else []
+    grid_flags = ["--n-theta", "100", "--n-phi", "100"] if args.fast else []
     failures = []
     for figure in sorted(FIGURES):
         print(f"=== {figure}: {' '.join(FIGURES[figure])}")

@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -39,27 +39,6 @@ from .states import (ANALYTIC_KINDS, make_analytic, make_coherent, make_hs_extre
 
 class StateSpecError(ValueError):
     """A state designator or run configuration could not be parsed."""
-
-
-@dataclass
-class RunConfig:
-    n_theta: int = DEFAULT_GRID.n_theta
-    n_phi: int = DEFAULT_GRID.n_phi
-    tol: float = DEFAULT_TOL
-    fmt: str = "csv"
-    out: Optional[str] = None
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        if not 0.0 < self.tol < math.inf:
-            raise StateSpecError(f"tol must be finite and > 0, got {self.tol!r}")
-
-    @property
-    def grid(self) -> GridSpec:
-        try:
-            return GridSpec(self.n_theta, self.n_phi)
-        except ValueError as exc:
-            raise StateSpecError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -101,8 +80,9 @@ def _take(kwargs: dict[str, str], key: str, spec: str, kind: type):
         raise StateSpecError(f"{spec!r}: {key} must be {kind.__name__}") from exc
 
 
-def parse_state_spec(text: str, default_seed: Optional[int] = None) -> ParsedState:
-    """Turn a designator string into a state object (see module docstring grammar)."""
+def parse_state_spec(text: str) -> ParsedState:
+    """Turn a designator string into a state object (see module docstring grammar);
+    a random designator without seed= takes seed 0."""
     if not text.isprintable():   # int() and float() would strip a newline or tab
         raise StateSpecError(f"{text!r}: designators must not hold control characters")
     family, _, argstr = text.partition(":")
@@ -115,8 +95,7 @@ def parse_state_spec(text: str, default_seed: Optional[int] = None) -> ParsedSta
             params = f"n={n}"
         elif family == "random":
             n = _take(kwargs, "n", text, int)
-            seed = _take(kwargs, "seed", text, int) if "seed" in kwargs else (
-                default_seed if default_seed is not None else 0)
+            seed = _take(kwargs, "seed", text, int) if "seed" in kwargs else 0
             obj = random_pure(n, seed)
             params = f"n={n},seed={seed}"
         elif family in ANALYTIC_KINDS:
@@ -171,12 +150,6 @@ def verdict_line(verdict: Verdict, label_a: str, label_b: str, glyphs: dict[str,
     return f"{label_a} {glyphs['join']} {label_b}"
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    """RunConfig from the flags that were given; every other field keeps its default."""
-    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
-                        if getattr(args, f.name) is not None})
-
-
 # CSV tables are formatted and written this many rows at a time, so the text and
 # temporaries of only one block of rows are alive at once
 _CSV_BLOCK = 4096
@@ -212,13 +185,21 @@ def _lorenz_table(result: PartialOrderResult) -> tuple[list[str], Callable[[], t
             lambda: (range(1, result.curves[0].n + 1), *(c.s for c in result.curves)))
 
 
-def _out_path(cfg: RunConfig, default_stem: str) -> Path:
-    return Path(cfg.out) if cfg.out else Path(f"{default_stem}.{cfg.fmt}")
+def _out_path(args: argparse.Namespace, default_stem: str) -> Path:
+    return Path(args.out) if args.out else Path(f"{default_stem}.{args.fmt}")
 
 
-def _parse(specs: Sequence[str], cfg: RunConfig, use_letter: bool = False):
+def _grid(args: argparse.Namespace) -> GridSpec:
+    """The --n-theta x --n-phi grid; a bad size is bad input."""
+    try:
+        return GridSpec(args.n_theta, args.n_phi)
+    except ValueError as exc:
+        raise StateSpecError(str(exc)) from exc
+
+
+def _parse(specs: Sequence[str], use_letter: bool = False):
     """Parse and label the designators `specs`: (parsed states, labels)."""
-    parsed = [parse_state_spec(s, cfg.seed) for s in specs]
+    parsed = [parse_state_spec(s) for s in specs]
     return parsed, assign_labels(parsed, use_letter)
 
 
@@ -235,13 +216,14 @@ def _order(parsed, labels, grid: GridSpec, tol: float):
                           for p, lab in zip(parsed, labels)), tol), raw_masses
 
 
-def cmd_qdist(cfg: RunConfig, args: argparse.Namespace) -> int:
-    dist = discretize_state(parse_state_spec(args.state, cfg.seed).obj, cfg.grid)
-    grid = cfg.grid
+def cmd_qdist(args: argparse.Namespace) -> int:
+    state = parse_state_spec(args.state).obj
+    grid = _grid(args)
+    dist = discretize_state(state, grid)
     theta = np.repeat(band_thetas(grid), grid.n_phi)
     phi = np.tile(sector_phis(grid), grid.n_theta)
     n = grid.n_pixels
-    _write(_out_path(cfg, "qdist"), cfg.fmt,
+    _write(_out_path(args, "qdist"), args.fmt,
            [f"state={args.state}", f"n_theta={grid.n_theta}", f"n_phi={grid.n_phi}",
             f"raw_mass={dist.raw_mass!r}"],
            ["j", "theta", "phi", "p"],
@@ -253,18 +235,19 @@ def cmd_qdist(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
-    parsed, labels = _parse([args.state_a, args.state_b], cfg)
-    result, raw_masses = _order(parsed, labels, cfg.grid, cfg.tol)
+def cmd_compare(args: argparse.Namespace) -> int:
+    parsed, labels = _parse([args.state_a, args.state_b])
+    grid = _grid(args)
+    result, raw_masses = _order(parsed, labels, grid, args.tol)
     verdict = result.matrix[0][1]
     print(verdict_line(verdict, labels[0], labels[1], _stdout_glyphs()))
-    _write(_out_path(cfg, "compare"), cfg.fmt,
+    _write(_out_path(args, "compare"), args.fmt,
            [f"a={parsed[0].text}", f"b={parsed[1].text}",
-            f"n_theta={cfg.n_theta}", f"n_phi={cfg.n_phi}", f"tol={cfg.tol!r}",
+            f"n_theta={grid.n_theta}", f"n_phi={grid.n_phi}", f"tol={args.tol!r}",
             f"verdict={verdict.relation.value}",
             f"raw_mass_a={raw_masses[0]!r}", f"raw_mass_b={raw_masses[1]!r}"],
            *_lorenz_table(result),
-           lambda: {"command": "compare", "grid": asdict(cfg.grid), "tol": cfg.tol,
+           lambda: {"command": "compare", "grid": asdict(grid), "tol": args.tol,
                     "states": [{"spec": p.text, "label": lab, "raw_mass": m}
                                for p, lab, m in zip(parsed, labels, raw_masses)],
                     "verdict": {"relation": verdict.relation.value,
@@ -288,19 +271,20 @@ def _chain_payload(result, parsed, labels, raw_masses, grid, tol) -> dict:
     }
 
 
-def cmd_chain(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_chain(args: argparse.Namespace) -> int:
     if len(args.states) < 2:
         raise StateSpecError("chain needs at least two states")
-    parsed, labels = _parse(args.states, cfg, use_letter=True)
-    result, raw_masses = _order(parsed, labels, cfg.grid, cfg.tol)
+    parsed, labels = _parse(args.states, use_letter=True)
+    grid = _grid(args)
+    result, raw_masses = _order(parsed, labels, grid, args.tol)
     print(render_chain(result.layers, ascii_glyphs=_stdout_glyphs() is GLYPHS_ASCII))
-    _write(_out_path(cfg, "chain"), cfg.fmt,
+    _write(_out_path(args, "chain"), args.fmt,
            [f"states={' '.join(p.text for p in parsed)}",
-            f"n_theta={cfg.n_theta}", f"n_phi={cfg.n_phi}", f"tol={cfg.tol!r}",
+            f"n_theta={grid.n_theta}", f"n_phi={grid.n_phi}", f"tol={args.tol!r}",
             f"chain={render_chain(result.layers, ascii_glyphs=True)}"],
            *_lorenz_table(result),
            lambda: {"command": "chain",
-                    **_chain_payload(result, parsed, labels, raw_masses, cfg.grid, cfg.tol)})
+                    **_chain_payload(result, parsed, labels, raw_masses, grid, args.tol)})
     return 0
 
 
@@ -318,81 +302,92 @@ def _relations(result: PartialOrderResult) -> list[list[Relation]]:
     return [[v.relation for v in row] for row in result.matrix]
 
 
-def cmd_reproduce(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_reproduce(args: argparse.Namespace) -> int:
     specs = FIGURES[args.figure]
-    parsed, labels = _parse(specs, cfg, use_letter=True)
-    grid = cfg.grid
+    parsed, labels = _parse(specs, use_letter=True)
+    grid = _grid(args)
     # the doubled grid runs first and keeps only its relations, so its curves are
     # freed before any base-grid array is built
     doubled = GridSpec(2 * grid.n_theta, 2 * grid.n_phi)
-    doubled_relations = _relations(_order(parsed, labels, doubled, cfg.tol)[0])
-    result, raw_masses = _order(parsed, labels, grid, cfg.tol)
+    doubled_relations = _relations(_order(parsed, labels, doubled, args.tol)[0])
+    result, raw_masses = _order(parsed, labels, grid, args.tol)
     stable = _relations(result) == doubled_relations
     print(render_chain(result.layers, ascii_glyphs=_stdout_glyphs() is GLYPHS_ASCII))
     print(f"doubled-grid stability: {'PASS' if stable else 'FAIL'}")
 
-    base = Path(cfg.out) if cfg.out else Path(f"reproduce_{args.figure}")
+    base = Path(args.out) if args.out else Path(f"reproduce_{args.figure}")
     if base.suffix in (".csv", ".json"):
         base = base.with_suffix("")
     _write(base.with_name(base.name + "_lorenz.csv"), "csv",
            [f"figure={args.figure}", f"states={' '.join(specs)}",
-            f"n_theta={grid.n_theta}", f"n_phi={grid.n_phi}", f"tol={cfg.tol!r}",
+            f"n_theta={grid.n_theta}", f"n_phi={grid.n_phi}", f"tol={args.tol!r}",
             f"chain={render_chain(result.layers, ascii_glyphs=True)}"],
            *_lorenz_table(result), None)
     _write(base.with_name(base.name + "_verdicts.json"), "json", (), (), None,
            lambda: {"command": "reproduce", "figure": args.figure,
-                    **_chain_payload(result, parsed, labels, raw_masses, grid, cfg.tol),
+                    **_chain_payload(result, parsed, labels, raw_masses, grid, args.tol),
                     "stability": {"grid_doubled": asdict(doubled),
                                   "verdicts_unchanged": stable}})
     return 0 if stable else 1
 
 
-def cmd_measures(cfg: RunConfig, args: argparse.Namespace) -> int:
-    dist = discretize_state(parse_state_spec(args.state, cfg.seed).obj, cfg.grid)
+def cmd_measures(args: argparse.Namespace) -> int:
+    state = parse_state_spec(args.state).obj
+    grid = _grid(args)
+    dist = discretize_state(state, grid)
     renyi_vals = [(q, renyi(dist, q)) for q in RENYI_Q_SWEEP]
     conf_vals = [(a, confidence_interval(dist, a)) for a in ALPHA_SWEEP]
-    _write(_out_path(cfg, "measures"), cfg.fmt,
-           [f"state={args.state}", f"n_theta={cfg.grid.n_theta}", f"n_phi={cfg.grid.n_phi}",
+    _write(_out_path(args, "measures"), args.fmt,
+           [f"state={args.state}", f"n_theta={grid.n_theta}", f"n_phi={grid.n_phi}",
             f"raw_mass={dist.raw_mass!r}"],
            ["measure", "param", "value"],
            lambda: tuple(zip(*[("renyi", q, v) for q, v in renyi_vals],
                              *[("confidence", a, k) for a, k in conf_vals])),
-           lambda: {"command": "measures", "state": args.state, "grid": asdict(cfg.grid),
+           lambda: {"command": "measures", "state": args.state, "grid": asdict(grid),
                     "raw_mass": dist.raw_mass,
                     "renyi": {repr(q): v for q, v in renyi_vals},
                     "confidence": {repr(a): k for a, k in conf_vals}})
     return 0
 
 
-# name, help, positional arguments (name, add_argument keywords), handler
+# every flag in help order with its add_argument keywords
+_FLAGS = {
+    "--n-theta": dict(dest="n_theta", type=int, default=DEFAULT_GRID.n_theta,
+                      help=f"cos(theta) bands (default {DEFAULT_GRID.n_theta})"),
+    "--n-phi": dict(dest="n_phi", type=int, default=DEFAULT_GRID.n_phi,
+                    help=f"azimuth sectors (default {DEFAULT_GRID.n_phi})"),
+    "--tol": dict(type=float, default=DEFAULT_TOL,
+                  help=f"comparison tolerance (default {DEFAULT_TOL:g})"),
+    "--format": dict(dest="fmt", choices=("csv", "json"), default="csv", help="output format"),
+    "--out": dict(help="output path (base path for reproduce)"),
+}
+
+# name, help, positional arguments (name, add_argument keywords), the flags it reads
+# besides --n-theta, --n-phi and --out, handler
 _SUBCOMMANDS = (
-    ("qdist", "discretized Q distribution of one state", [("state", {})], cmd_qdist),
+    ("qdist", "discretized Q distribution of one state", [("state", {})], ("--format",),
+     cmd_qdist),
     ("compare", "majorization verdict for two states",
-     [("state_a", {}), ("state_b", {})], cmd_compare),
+     [("state_a", {}), ("state_b", {})], ("--tol", "--format"), cmd_compare),
     ("chain", "verdict matrix and chain over a state set",
-     [("states", {"nargs": "+"})], cmd_chain),
+     [("states", {"nargs": "+"})], ("--tol", "--format"), cmd_chain),
     ("reproduce", "built-in figure dataset with stability check",
-     [("figure", {"choices": sorted(FIGURES)})], cmd_reproduce),
-    ("measures", "Renyi entropies and confidence intervals", [("state", {})], cmd_measures),
+     [("figure", {"choices": sorted(FIGURES)})], ("--tol",), cmd_reproduce),
+    ("measures", "Renyi entropies and confidence intervals", [("state", {})], ("--format",),
+     cmd_measures),
 )
 
 
 def make_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n-theta", dest="n_theta", type=int,
-                        help=f"cos(theta) bands (default {DEFAULT_GRID.n_theta})")
-    common.add_argument("--n-phi", dest="n_phi", type=int,
-                        help=f"azimuth sectors (default {DEFAULT_GRID.n_phi})")
-    common.add_argument("--tol", type=float, help=f"comparison tolerance (default {DEFAULT_TOL:g})")
-    common.add_argument("--seed", type=int, help="default seed for random:... states")
-    common.add_argument("--format", dest="fmt", choices=("csv", "json"), help="output format")
-    common.add_argument("--out", help="output path (base path for reproduce)")
     parser = argparse.ArgumentParser(
         prog="polmaj",
         description="Majorization of SU(2) Husimi polarization distributions.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, positionals, func in _SUBCOMMANDS:
-        p = sub.add_parser(name, help=help_text, parents=[common])
+    for name, help_text, positionals, flags, func in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in _FLAGS.items():
+            if flag in ("--n-theta", "--n-phi", "--out") + flags:
+                p.add_argument(flag, **kwargs)
         for arg, kwargs in positionals:
             p.add_argument(arg, **kwargs)
         p.set_defaults(func=func)
@@ -406,8 +401,10 @@ _EXIT_CODES = {EvaluationError: 3, StateSpecError: 2, OSError: 1}
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        cfg = build_config(args)
-        return args.func(cfg, args)
+        # tol is checked before any designator is read, so its error wins
+        if "tol" in args and not 0.0 < args.tol < math.inf:
+            raise StateSpecError(f"tol must be finite and > 0, got {args.tol!r}")
+        return args.func(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))

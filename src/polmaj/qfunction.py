@@ -58,12 +58,14 @@ def _q_closed_form(family: AnalyticQFamily, theta: np.ndarray) -> np.ndarray:
     """Closed-form Q for the Glauber-coherent, thermal and two-mode squeezed vacuum
     families at mean total photon number nbar.  All three are phi-independent."""
     nbar = family.nbar
-    if family.kind == "tmsv":
-        return np.sqrt(2.0 + nbar) / (2.0 * np.pi) / (2.0 + nbar * np.cos(theta) ** 2) ** 1.5
-    s2 = np.sin(theta / 2.0) ** 2
     if family.kind == "glauber":
+        s2 = np.sin(theta / 2.0) ** 2
         return np.exp(-nbar * s2) * (1.0 + nbar * (1.0 - s2)) / (4.0 * np.pi)
-    return (1.0 + nbar) / (4.0 * np.pi) / (1.0 + nbar * s2) ** 2
+    # at huge nbar a denominator overflows to inf, which gives Q its float limit 0
+    with np.errstate(over="ignore"):
+        if family.kind == "tmsv":
+            return np.sqrt(2.0 + nbar) / (2.0 * np.pi) / (2.0 + nbar * np.cos(theta) ** 2) ** 1.5
+        return (1.0 + nbar) / (4.0 * np.pi) / (1.0 + nbar * np.sin(theta / 2.0) ** 2) ** 2
 
 
 def q_on_grid(obj: PolState, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:

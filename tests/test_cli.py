@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -13,9 +14,8 @@ import polmaj
 from polmaj import (ALPHA_SWEEP, RENYI_Q_SWEEP, EvaluationError, GridSpec, Relation, Verdict,
                     band_thetas, confidence_interval, discretize_state, lorenz, renyi,
                     sector_phis)
-from polmaj.cli import (FIGURES, GLYPHS_ASCII, GLYPHS_UNICODE, RunConfig, StateSpecError,
-                        _write, assign_labels, main,
-                        make_parser, parse_state_spec, verdict_line)
+from polmaj.cli import (FIGURES, GLYPHS_ASCII, GLYPHS_UNICODE, StateSpecError, _write,
+                        assign_labels, main, make_parser, parse_state_spec, verdict_line)
 from polmaj.states import AnalyticQFamily, PureFockState
 
 from oracles import csv_text
@@ -59,10 +59,11 @@ class TestParseStateSpec:
         a = parse_state_spec("random:n=4,seed=7")
         b = parse_state_spec("random:n=4,seed=7")
         assert np.array_equal(a.obj.amps, b.obj.amps)
-        c = parse_state_spec("random:n=4", default_seed=7)
-        assert np.array_equal(a.obj.amps, c.obj.amps)
-        d = parse_state_spec("random:n=4")  # falls back to seed 0
-        assert np.array_equal(d.obj.amps, parse_state_spec("random:n=4,seed=0").obj.amps)
+        # seed= is the only seed channel, and without it the seed is 0
+        c = parse_state_spec("random:n=4")
+        assert c.params == "n=4,seed=0"
+        assert np.array_equal(c.obj.amps, parse_state_spec("random:n=4,seed=0").obj.amps)
+        assert not np.array_equal(a.obj.amps, c.obj.amps)
 
     @pytest.mark.parametrize("bad", [
         "coherent", "coherent:n=-1", "coherent:m=4", "coherent:n=x", "coherent:n=4,k=1",
@@ -141,10 +142,14 @@ class TestConfig:
         assert "unrecognized arguments: --config" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
-    def test_bad_tol_rejected(self):
-        for tol in (0.0, float("nan"), float("inf")):
-            with pytest.raises(StateSpecError):
-                RunConfig(tol=tol)
+    @pytest.mark.parametrize("command", [["compare", "coherent:n=2", "phase:n=2"],
+                                         ["chain", "coherent:n=2", "phase:n=2"],
+                                         ["reproduce", "fig3"]], ids=lambda c: c[0])
+    def test_bad_tol_rejected(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([*command, *SMALL, "--tol", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: tol must be finite and > 0, got 0.0\n")
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_flag_exits_2(self, tol, tmp_path, monkeypatch, capsys):
@@ -153,6 +158,34 @@ class TestConfig:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "tol must be finite" in captured.err
+
+
+# the error main reports when two inputs are bad: --tol is checked before any
+# designator is read, and every designator before the grid
+BAD_GRID = ["--n-theta", "0"]
+BAD_SPEC_ERROR = "error: unknown state family 'bogus'\n"
+BAD_TOL_ERROR = "error: tol must be finite and > 0, got nan\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["qdist", "bogus:n=1", *BAD_GRID], BAD_SPEC_ERROR),
+    (["measures", "bogus:n=1", *BAD_GRID], BAD_SPEC_ERROR),
+    (["compare", "coherent:n=2", "bogus:n=1", *BAD_GRID], BAD_SPEC_ERROR),
+    (["chain", "coherent:n=2", "bogus:n=1", *BAD_GRID], BAD_SPEC_ERROR),
+    (["reproduce", "fig3", *BAD_GRID], BAD_SPEC_ERROR),
+    (["compare", "coherent:n=2", "bogus:n=1", "--tol", "nan"], BAD_TOL_ERROR),
+    (["chain", "coherent:n=2", "bogus:n=1", "--tol", "nan", *BAD_GRID], BAD_TOL_ERROR),
+    (["reproduce", "fig3", "--tol", "nan", *BAD_GRID], BAD_TOL_ERROR),
+], ids=[f"{command}-{winner}" for command, winner in (
+    ("qdist", "spec"), ("measures", "spec"), ("compare", "spec"), ("chain", "spec"),
+    ("reproduce", "spec"), ("compare", "tol"), ("chain", "tol"), ("reproduce", "tol"))])
+def test_error_order(argv, err, tmp_path, monkeypatch, capsys):
+    import polmaj.cli as climod
+    monkeypatch.setitem(climod.FIGURES, "fig3", ["coherent:n=2", "bogus:n=1"])
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", err)
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("char", ["\n", "\r", "\t"], ids=["lf", "cr", "tab"])
@@ -549,12 +582,13 @@ class TestCsvJsonAgree:
         return ([float(meta["raw_mass"])] + [(r[0], float(r[1]), float(r[2])) for r in rows],
                 [payload["raw_mass"]] + json_rows)
 
-    @pytest.mark.parametrize("argv", [["compare", "coherent:n=2", "noon:n=6"],
-                                      ["chain", "noon:n=2", "random:n=2,seed=3", "coherent:n=2"],
+    @pytest.mark.parametrize("argv", [["compare", "coherent:n=2", "noon:n=6", "--tol", "3e-4"],
+                                      ["chain", "noon:n=2", "random:n=2,seed=3", "coherent:n=2",
+                                       "--tol", "3e-4"],
                                       ["measures", "random:n=3,seed=4"]], ids=lambda a: a[0])
     def test_csv_json_values_agree(self, argv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        argv = [*argv, "--n-theta", "15", "--n-phi", "15", "--tol", "3e-4"]
+        argv = [*argv, "--n-theta", "15", "--n-phi", "15"]
         assert main([*argv, "--format", "csv", "--out", "o.csv"]) == 0
         assert main([*argv, "--format", "json", "--out", "o.json"]) == 0
         comments, header, rows = read_csv(tmp_path / "o.csv")
@@ -579,10 +613,46 @@ class TestSubcommandInterface:
         (["reproduce", "fig8"], {"figure": "fig8"}),
     ])
     def test_positionals(self, argv, positionals):
-        args = make_parser().parse_args([*argv, "--n-theta", "8", "--tol", "0.01"])
+        tol = ["--tol", "0.01"] if argv[0] in ("compare", "chain", "reproduce") else []
+        args = make_parser().parse_args([*argv, "--n-theta", "8", *tol])
         assert args.command == argv[0] and args.func.__name__ == f"cmd_{argv[0]}"
         assert {key: getattr(args, key) for key in positionals} == positionals
-        assert (args.n_theta, args.tol, args.n_phi, args.fmt) == (8, 0.01, None, None)
+        # a given flag wins, an unset one reads its default, an absent one is not there
+        assert (args.n_theta, args.n_phi, args.out) == (8, 400, None)
+        assert getattr(args, "tol", None) == (0.01 if tol else None)
+        assert getattr(args, "fmt", None) == (None if argv[0] == "reproduce" else "csv")
+
+    @pytest.mark.parametrize("command, options", [
+        ("qdist", ["--n-theta", "--n-phi", "--format", "--out"]),
+        ("compare", ["--n-theta", "--n-phi", "--tol", "--format", "--out"]),
+        ("chain", ["--n-theta", "--n-phi", "--tol", "--format", "--out"]),
+        ("reproduce", ["--n-theta", "--n-phi", "--tol", "--out"]),
+        ("measures", ["--n-theta", "--n-phi", "--format", "--out"]),
+    ])
+    def test_each_subcommand_takes_only_the_flags_it_reads(self, command, options):
+        sub = next(a for a in make_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = [s for action in sub.choices[command]._actions for s in action.option_strings]
+        assert flags == ["-h", "--help", *options]
+
+    @pytest.mark.parametrize("argv, flag", [
+        *[([*command, "--seed", "1"], "--seed") for command in (
+            ["qdist", "coherent:n=2"], ["compare", "coherent:n=2", "phase:n=2"],
+            ["chain", "coherent:n=2", "phase:n=2"], ["reproduce", "fig3"],
+            ["measures", "coherent:n=2"])],
+        (["reproduce", "fig3", "--format", "json"], "--format"),
+        (["qdist", "coherent:n=2", "--tol", "0.01"], "--tol"),
+        (["measures", "coherent:n=2", "--tol", "0.01"], "--tol"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else v)
+    def test_removed_flag_exits_2(self, argv, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *SMALL])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: unrecognized arguments: {flag} " in captured.err
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("argv", [
         ["qdist"], ["qdist", "coherent:n=1", "coherent:n=2"],

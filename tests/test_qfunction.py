@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import polmaj.qfunction as qmod
-from polmaj import (EulerRotation, GridSpec, MixedState, PureFockState, apply_su2, band_thetas,
-                    discretize_state, make_analytic, make_coherent, make_noon, make_phase,
-                    make_squeezed, q_on_grid, random_pure, sector_phis)
+from polmaj import (EulerRotation, EvaluationError, GridSpec, MixedState, PureFockState,
+                    apply_su2, band_thetas, discretize_state, make_analytic, make_coherent,
+                    make_noon, make_phase, make_squeezed, q_on_grid, random_pure, sector_phis)
 
 from oracles import q_mixed, q_pure, rotation_matrix, su2_overlap
 
@@ -163,6 +163,16 @@ class TestQAnalytic:
         b = q_on_grid(fam, thetas, np.linspace(-np.pi, np.pi, 9))
         assert a.shape == b.shape == (11, 1)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["thermal", "tmsv"])
+    def test_huge_nbar_vanishes_without_an_overflow_warning(self, kind):
+        # the denominator overflows to inf and Q takes its float limit 0; a warning
+        # would be an error here and a stray stderr line on the command line
+        fam, grid = make_analytic(kind, 1e308), GridSpec(4, 4)
+        q = q_on_grid(fam, band_thetas(grid), sector_phis(grid))
+        assert np.array_equal(q, np.zeros((4, 1)))
+        with pytest.raises(EvaluationError, match="vanish"):
+            discretize_state(fam, grid)
 
     def test_glauber_minimum_at_south_pole(self):
         fam = make_analytic("glauber", 6.0)

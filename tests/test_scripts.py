@@ -1,5 +1,8 @@
 import importlib.util
+import os
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_figures.py"
 
@@ -19,3 +22,13 @@ def test_reproduce_figures_fast(tmp_path, capsys):
     assert written == sorted(f"fig{i}_{kind}" for i in range(3, 9)
                              for kind in ("lorenz.csv", "verdicts.json"))
     assert "all stability checks passed" in capsys.readouterr().out
+
+
+def test_unknown_option_exits_2_before_anything_is_created(tmp_path, monkeypatch, capsys):
+    # a mistyped --fast is an error, not an output directory named "--fats"
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        load_script().main(["--fats"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --fats" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
