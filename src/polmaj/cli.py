@@ -158,11 +158,12 @@ _CSV_BLOCK = 4096
 def _write(path: Path, fmt: str, comments: Sequence[str], header: Sequence[str],
            columns: Optional[Callable[[], Sequence[Sequence]]],
            payload: Optional[Callable[[], dict]]) -> None:
-    """Write `columns()` (ndarrays, ranges or tuples of one length) as CSV under `#`
-    comment lines and a header, or `payload()` as indented JSON, and note the path on
-    stderr.  Only the chosen format's data is built, and it is built and checked
-    before the file is opened, so an error leaves no truncated file.  Each cell is
-    written as str(value) (see csvtext), one block of rows per write call."""
+    """Write `columns()` (ndarrays, ranges, tuples or Lorenz curves, of one length and
+    read by slices) as CSV under `#` comment lines and a header, or `payload()` as
+    indented JSON, and note the path on stderr.  Only the chosen format's data is
+    built, and it is built and checked before the file is opened, so an error leaves
+    no truncated file.  Each cell is written as str(value) (see csvtext), one block
+    of rows per write call."""
     data = payload() if fmt == "json" else columns()
     if fmt == "csv" and len({len(col) for col in data}) != 1:
         raise ValueError("CSV columns must have one length")
@@ -180,9 +181,10 @@ def _write(path: Path, fmt: str, comments: Sequence[str], header: Sequence[str],
 
 
 def _lorenz_table(result: PartialOrderResult) -> tuple[list[str], Callable[[], tuple]]:
-    """Header and columns of the k,S_k_<name>... table: one column per curve."""
+    """Header and columns of the k,S_k_<name>... table: one column per curve, each
+    read block by block, so a run curve never builds all N values."""
     return (["k"] + [f"S_k_{name}" for name in result.names],
-            lambda: (range(1, result.curves[0].n + 1), *(c.s for c in result.curves)))
+            lambda: (range(1, result.curves[0].n + 1), *result.curves))
 
 
 def _out_path(args: argparse.Namespace, default_stem: str) -> Path:
@@ -359,8 +361,10 @@ _FLAGS = {
     "--tol": dict(type=float, default=DEFAULT_TOL,
                   help=f"comparison tolerance (default {DEFAULT_TOL:g})"),
     "--format": dict(dest="fmt", choices=("csv", "json"), default="csv", help="output format"),
-    "--out": dict(help="output path (base path for reproduce)"),
+    "--out": dict(help="output path"),
 }
+_REPRODUCE_OUT_HELP = ("writes BASE_lorenz.csv and BASE_verdicts.json for BASE = OUT without "
+                       "a .csv or .json suffix (default BASE: reproduce_FIGURE)")
 
 # name, help, positional arguments (name, add_argument keywords), the flags it reads
 # besides --n-theta, --n-phi and --out, handler
@@ -387,6 +391,8 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in _FLAGS.items():
             if flag in ("--n-theta", "--n-phi", "--out") + flags:
+                if (name, flag) == ("reproduce", "--out"):
+                    kwargs = dict(kwargs, help=_REPRODUCE_OUT_HELP)
                 p.add_argument(flag, **kwargs)
         for arg, kwargs in positionals:
             p.add_argument(arg, **kwargs)

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .sphere_grid import DiscreteDistribution, owned_read_only
+from .sphere_grid import DiscreteDistribution, owned_read_only, run_partial_sums, sorted_runs
 
 # Default absolute tolerance on cumulative sums.  Calibrated so it sits well above
 # the discretization scatter of the default 400x400 grid (rotation-equivalent
@@ -62,66 +62,163 @@ class Verdict:
         return self
 
 
-# eq=False: it holds arrays, so it compares and hashes by identity
-@dataclass(frozen=True, eq=False)
+def _check_run_ends(ends: np.ndarray) -> None:
+    """Raise ValueError unless S at the run ends is nondecreasing from S_0 = 0, concave
+    and ends on 1.  Increments and their differences are taken in one pass over
+    cache-sized windows that overlap by two values, so each difference is taken once;
+    every test is written so that NaN fails it, and the messages keep their
+    whole-curve order."""
+    concave = True
+    with np.errstate(invalid="ignore", over="ignore"):
+        if not ends[0] >= 0.0:                   # the first increment, S_run - S_0
+            raise ValueError("S_k must be nondecreasing")
+        if ends.size > 1:
+            concave = (ends[1] - ends[0]) - ends[0] <= 1e-12
+        for start in range(0, ends.size - 1, _BLOCK):
+            inc = np.diff(ends[start:start + _BLOCK + 2])
+            if not inc.min() >= 0.0:
+                raise ValueError("S_k must be nondecreasing")
+            if concave and inc.size > 1:
+                concave = np.diff(inc).max() <= 1e-12
+    if not concave:
+        raise ValueError("S_k increments must be nonincreasing (source sorted descending)")
+    if not abs(ends[-1] - 1.0) <= 1e-12:
+        raise ValueError(f"S_N must equal 1, got {ends[-1]!r}")
+
+
 class LorenzCurve:
     """Ordered partial sums S_k, k = 1..N: cumulative sums of p sorted descending.
 
-    `run` says that S is linear over each run of `run` consecutive k, as in a curve
-    built from a repeated distribution; only the run ends S_run, S_2run, ..., S_N are
-    checked then.  With the default run = 1 every S_k is checked.
+    A dense curve, `LorenzCurve(s, run)`, holds every S_k.  `run` says that S is
+    linear over each run of `run` consecutive k; only the run ends S_run, S_2run,
+    ..., S_N are checked then.  With the default run = 1 every S_k is checked.
+
+    A run curve, which `lorenz` builds from a repeated distribution that has not
+    built its dense partial sums, holds only the sorted band values and the run
+    ends (see `sphere_grid.run_partial_sums`), 2 N / run floats.  Read S_k by
+    window: `curve[start:stop]` is a view of a dense curve and a fresh array for a
+    run curve, and `curve.s` builds a fresh read-only array of all N values on each
+    access of a run curve.  Curves are immutable and compare by identity.
     """
 
-    s: np.ndarray
-    run: int = 1
+    __slots__ = ("run", "n", "_s", "_runs")
 
-    def __post_init__(self):
-        s = owned_read_only(self.s)
+    def __init__(self, s, run: int = 1):
+        s = owned_read_only(s)
         if s.ndim != 1 or s.size < 1:
             raise ValueError("S_k must be a nonempty 1-d array")
-        run = self.run
         if (isinstance(run, bool) or not isinstance(run, numbers.Integral) or run < 1
                 or s.size % run):
             raise ValueError(f"run must be a positive integer dividing N = {s.size}, got {run!r}")
-        ends = s[run - 1::run]
-        # increments and their differences in one pass over cache-sized windows that
-        # overlap by two values, so each difference is taken once; every test is
-        # written so that NaN fails it, and the messages keep their whole-curve order
-        concave = True
-        with np.errstate(invalid="ignore", over="ignore"):
-            if not ends[0] >= 0.0:                   # the first increment, S_run - S_0
-                raise ValueError("S_k must be nondecreasing")
-            if ends.size > 1:
-                concave = (ends[1] - ends[0]) - ends[0] <= 1e-12
-            for start in range(0, ends.size - 1, _BLOCK):
-                inc = np.diff(ends[start:start + _BLOCK + 2])
-                if not inc.min() >= 0.0:
-                    raise ValueError("S_k must be nondecreasing")
-                if concave and inc.size > 1:
-                    concave = np.diff(inc).max() <= 1e-12
-        if not concave:
-            raise ValueError("S_k increments must be nonincreasing (source sorted descending)")
-        if not abs(s[-1] - 1.0) <= 1e-12:
-            raise ValueError(f"S_N must equal 1, got {s[-1]!r}")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "run", int(run))
+        _check_run_ends(s[run - 1::run])
+        self._init(int(run), s.size, s, None)
+
+    @classmethod
+    def _from_runs(cls, desc: np.ndarray, ends: np.ndarray, run: int) -> "LorenzCurve":
+        """The run curve of `sorted_runs` output, checked at its n_theta run ends."""
+        _check_run_ends(ends / ends[-1])
+        curve = object.__new__(cls)
+        for a in (desc, ends):
+            a.flags.writeable = False
+        curve._init(run, desc.size * run, None, (desc, ends))
+        return curve
+
+    def _init(self, run, n, s, runs) -> None:
+        for name, value in zip(self.__slots__, (run, n, s, runs)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LorenzCurve is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"LorenzCurve is immutable: cannot delete {name!r}")
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, window: slice) -> np.ndarray:
+        """S_k for the 0-based k in a slice with step 1."""
+        if not isinstance(window, slice) or window.step not in (None, 1):
+            raise TypeError("a Lorenz curve is read by slices with step 1")
+        start, stop, _ = window.indices(self.n)
+        stop = max(start, stop)
+        if self._runs is None:
+            return self._s[start:stop]
+        j0, j1 = start // self.run, -(-stop // self.run)
+        s = run_partial_sums(*self._runs, self.run, slice(j0, j1))
+        return s[start - j0 * self.run:stop - j0 * self.run]
 
     @property
-    def n(self) -> int:
-        return self.s.size
+    def s(self) -> np.ndarray:
+        """All N values S_k, read-only; a run curve builds them afresh on each access."""
+        if self._runs is None:
+            return self._s
+        s = run_partial_sums(*self._runs, self.run)
+        s.flags.writeable = False
+        return s
+
+    def _run_ends(self, run: int) -> Optional[np.ndarray]:
+        """S at the ends of runs of `run` pixels, when S is known to be nondecreasing
+        inside each such run: a run curve's own runs, or every run of a dense curve
+        whose every S_k is checked.  None otherwise."""
+        if self._runs is not None:
+            return self._runs[1] / self._runs[1][-1] if run == self.run else None
+        return self._s[run - 1::run] if self.run == 1 else None
+
+    def _run_values(self, runs: np.ndarray, run: int) -> np.ndarray:
+        """S over the whole runs of `run` pixels with the ascending indices `runs`,
+        one row per run, in a fresh array."""
+        if self._runs is not None:
+            return run_partial_sums(*self._runs, run, runs).reshape(runs.size, run)
+        return self._s.reshape(-1, run)[runs]
 
 
 def lorenz(dist: DiscreteDistribution) -> LorenzCurve:
-    """The curve of dist, sharing its cached partial sums: each distribution sorts once.
-
-    A repeated distribution's curve is linear over each run of `repeat` pixels and
-    ends each run on its exact band sum, so it is checked at the run ends only."""
-    return LorenzCurve(s=dist.descending_cumsum, run=dist.repeat)
+    """The curve of dist, checked at its run ends.  A repeated distribution gives a run
+    curve over its n_theta sorted values, unless it already holds its dense partial
+    sums (built for `confidence_interval`); then, as with repeat 1, a dense curve
+    shares them, so each distribution sorts once."""
+    # a run curve there would let the distribution's N-sized array be freed with it
+    # and rebuilt on every read of .s: perfbench fine-grid, which reads K(alpha)
+    # before the curve, lost 6 % of its throughput to that in paired runs
+    if dist.repeat == 1 or "descending_cumsum" in dist.__dict__:
+        return LorenzCurve(s=dist.descending_cumsum, run=dist.repeat)
+    return LorenzCurve._from_runs(*sorted_runs(dist.values, dist.repeat), dist.repeat)
 
 
 def _check_tol(tol: float) -> None:
     if isinstance(tol, (bool, np.bool_)) or not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+
+
+def _differences(a: LorenzCurve, b: LorenzCurve):
+    """S(a) - S(b) in index order, in chunks of at most _BLOCK values, each as
+    (d, firsts, width): row r of d holds `width` consecutive values from 0-based
+    k = firsts[r] on (a window is one row).
+
+    When one curve is a run curve and the other is nondecreasing inside each of its
+    runs, only the runs that can hold an extreme are read: with A_j and B_j the curves
+    at the end of run j (A_-1 = B_-1 = 0), every d_k of run j lies in
+    [A_{j-1} - B_j, A_j - B_{j-1}], rounding included, so a run whose upper bound stays
+    below the largest run-end difference cannot hold the maximum, nor can one whose
+    lower bound stays above the smallest hold the minimum.  Otherwise every window is
+    read."""
+    run = max(a.run, b.run)
+    ends_a, ends_b = a._run_ends(run), b._run_ends(run)
+    if run == 1 or ends_a is None or ends_b is None:
+        for start in range(0, a.n, _BLOCK):
+            yield a[start:start + _BLOCK] - b[start:start + _BLOCK], (start,), _BLOCK
+        return
+    at_ends = ends_a - ends_b
+    ends_a, ends_b = np.concatenate(([0.0], ends_a)), np.concatenate(([0.0], ends_b))
+    hi, lo = ends_a[1:] - ends_b[:-1], ends_a[:-1] - ends_b[1:]
+    candidates = np.flatnonzero((hi >= at_ends.max()) | (lo <= at_ends.min()))
+    step = max(1, _BLOCK // run)
+    for start in range(0, candidates.size, step):
+        runs = candidates[start:start + step]
+        d = a._run_values(runs, run)            # a fresh array either way
+        d -= b._run_values(runs, run)
+        yield d, runs * run, run
 
 
 def compare(a: LorenzCurve, b: LorenzCurve, tol: float = DEFAULT_TOL) -> Verdict:
@@ -130,22 +227,22 @@ def compare(a: LorenzCurve, b: LorenzCurve, tol: float = DEFAULT_TOL) -> Verdict
     Equal    : |S_k(a) - S_k(b)| <= tol for all k.
     Majorizes: S_k(a) >= S_k(b) - tol for all k, exceeding +tol somewhere.
     MajorizedBy is the mirror image; otherwise Incomparable, with the indices of
-    the strongest violation on each side as witnesses.
+    the strongest violation on each side (the first-occurrence argmax and argmin of
+    S(a) - S(b)) as witnesses.
     """
     if a.n != b.n:
         raise ValueError(f"curve length mismatch: {a.n} vs {b.n} (distributions must share a grid)")
     _check_tol(tol)
-    # S(a) - S(b) in cache-sized windows; a window's extreme replaces the running one
-    # only when strictly beyond it, so the witnesses are the first-occurrence
-    # argmax and argmin of the whole difference
+    # a chunk's extreme replaces the running one only when strictly beyond it, so the
+    # witnesses are the first-occurrence argmax and argmin of the whole difference
     up, dn, k_up, k_dn = -np.inf, np.inf, 0, 0
-    for start in range(0, a.n, _BLOCK):
-        d = a.s[start:start + _BLOCK] - b.s[start:start + _BLOCK]
+    for d, firsts, width in _differences(a, b):
         i, j = int(d.argmax()), int(d.argmin())
-        if d[i] > up:
-            up, k_up = float(d[i]), start + i
-        if d[j] < dn:
-            dn, k_dn = float(d[j]), start + j
+        if d.flat[i] > up:
+            up, k_up = float(d.flat[i]), int(firsts[i // width]) + i % width
+        if d.flat[j] < dn:
+            dn, k_dn = float(d.flat[j]), int(firsts[j // width]) + j % width
+        del d                           # freed before the next chunk is read
     if up <= tol and -dn <= tol:
         return Verdict(Relation.EQUAL)
     if dn >= -tol:

@@ -68,6 +68,21 @@ def _q_closed_form(family: AnalyticQFamily, theta: np.ndarray) -> np.ndarray:
         return (1.0 + nbar) / (4.0 * np.pi) / (1.0 + nbar * np.sin(theta / 2.0) ** 2) ** 2
 
 
+def _phases(m: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """e^{i m phi}, shape (M, P); one column when a single m makes |overlap| phi-free."""
+    return np.exp(1j * np.outer(m, phis[:1] if m.size == 1 else phis))
+
+
+def _band_blocks(n_bands: int, n_values: int, limit: int) -> list[tuple[int, int]]:
+    """Bounds of balanced band blocks of at most about `limit` of the n_values.  A block
+    never has fewer than two bands: a one-band product is a matrix-vector product and
+    rounds differently, while blocks of two or more bands give the whole product's
+    values bit for bit (tests pin it)."""
+    n_blocks = max(1, min(-(-n_values // limit), n_bands // 2))
+    bounds = [n_bands * i // n_blocks for i in range(n_blocks + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 def q_on_grid(obj: PolState, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Q on the outer-product grid thetas x phis: shape (len(thetas), 1) when Q does
     not depend on phi (an analytic family, a pure state with a single nonzero
@@ -87,24 +102,33 @@ def q_on_grid(obj: PolState, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray
         raise ValueError("phi must be finite")
     if isinstance(obj, PureFockState):
         m, coeff = _coefficients(obj, thetas)        # (T, M) over the M nonzero amplitudes
-        if m.size == 1:                              # |c_m e^{i m phi}| does not vary with phi
-            phis = phis[:1]
-        phases = np.exp(1j * np.outer(m, phis))      # (M, P)
+        phases = _phases(m, phis)
         # |overlap| goes into q one balanced band block of the complex product at a
-        # time, bit for bit the whole product's (tests pin it), as long as every
-        # block has two bands: a one-band product is a matrix-vector product and
-        # rounds differently.  400^2 stays one block: without that transient glibc
-        # trims the heap after each perfbench lieb-sweep operation and refaults it
-        q = np.empty((thetas.size, phis.size))
-        n_blocks = max(1, min(-(-q.size // _QBLOCK), thetas.size // 2))
-        bounds = [thetas.size * i // n_blocks for i in range(n_blocks + 1)]
-        for lo, hi in zip(bounds, bounds[1:]):
+        # time.  400^2 stays one block: without that transient glibc trims the heap
+        # after each perfbench lieb-sweep operation and refaults it
+        q = np.empty((thetas.size, phases.shape[1]))
+        for lo, hi in _band_blocks(thetas.size, q.size, _QBLOCK):
             np.abs(coeff[lo:hi] @ phases, out=q[lo:hi])
         np.square(q, out=q)                          # squared and scaled in place
         q *= (obj.n + 1) / (4.0 * np.pi)
         return q
     if isinstance(obj, MixedState):
-        return sum(w * q_on_grid(s, thetas, phis) for w, s in obj.components)
+        parts = [(w, s.n, *_coefficients(s, thetas)) for w, s in obj.components]
+        width = phis.size if any(m.size > 1 for _, _, m, _ in parts) else 1
+        # each component's w |overlap|^2 (n+1)/(4 pi) is added into one array block by
+        # block, in the order of the sum over components; a block needs a real scratch
+        # beside its complex product, so blocks hold half as many values as above
+        q = np.zeros((thetas.size, width))
+        for w, n, m, coeff in parts:
+            phases = _phases(m, phis)
+            for lo, hi in _band_blocks(thetas.size, thetas.size * phases.shape[1], _QBLOCK // 2):
+                t = np.abs(coeff[lo:hi] @ phases)
+                np.square(t, out=t)
+                t *= (n + 1) / (4.0 * np.pi)
+                t *= w
+                q[lo:hi] += t
+                del t                # freed before the next block's product is built
+        return q
     if isinstance(obj, AnalyticQFamily):
         return _q_closed_form(obj, thetas)[:, None]
     raise TypeError(f"no Q evaluator for {type(obj).__name__}")

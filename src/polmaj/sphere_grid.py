@@ -141,12 +141,9 @@ class DiscreteDistribution:
         """S_k: p sorted in decreasing order and accumulated, read-only, ending at
         exactly 1.  Sorted once, on first use, and over `values` alone.
 
-        A repeated distribution is built from its runs: with desc the sorted values
-        and E = cumsum(desc * repeat) the run ends, pixel i of run j has
-        S = E[j-1] + i * desc[j].  The last pixel of each run is E[j] bit for bit,
-        so the curve is nondecreasing and S_N = E[-1] / E[-1] = 1; every S_k is
-        within a few ulp of the exact sum, where a sequential sum over N pixels
-        drifts by ~1e-12 at N = 1200^2.
+        A repeated distribution is filled from its runs by `run_partial_sums`; every
+        S_k is within a few ulp of the exact sum, where a sequential sum over N
+        pixels drifts by ~1e-12 at N = 1200^2.
         """
         if self.repeat == 1:
             # -p sorted ascending is p sorted descending, negated exactly, so S is
@@ -156,15 +153,35 @@ class DiscreteDistribution:
             np.cumsum(s, out=s)
             s /= s[-1]
         else:
-            desc = np.sort(self.values)[::-1]
-            ends = np.cumsum(desc * self.repeat)
-            runs = desc[:, None] * np.arange(1, self.repeat + 1, dtype=float)
-            runs[1:] += ends[:-1, None]
-            # divided out of the scratch into a fresh array: filling the result in
-            # place, with no scratch, raised perfbench fine-grid's peak RSS by 14 %
-            s = runs.ravel() / ends[-1]
+            s = run_partial_sums(*sorted_runs(self.values, self.repeat), self.repeat)
         s.flags.writeable = False
         return s
+
+
+def sorted_runs(values: np.ndarray, repeat: int) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of the curve of a distribution whose every value stands for `repeat`
+    pixels: desc, the values sorted in decreasing order, and the run ends
+    E = cumsum(desc * repeat), the unnormalized partial sum at the last pixel of each
+    run."""
+    desc = np.sort(values)[::-1]
+    return desc, np.cumsum(desc * repeat)
+
+
+def run_partial_sums(desc: np.ndarray, ends: np.ndarray, repeat: int,
+                     runs=slice(None)) -> np.ndarray:
+    """S_k over the whole runs `runs` (a slice, or an ascending array of run indices) of
+    the curve with runs (desc, ends) from `sorted_runs`, run after run in a fresh
+    array: pixel i = 1..repeat of run j has S = (E[j-1] + i * desc[j]) / E[-1].
+
+    The last pixel of run j is E[j] / E[-1] bit for bit, so the curve is nondecreasing,
+    S_N = 1 exactly, and a check of the run ends checks the n_theta values E / E[-1].
+    The one formula for every S_k of a repeated distribution: its dense curve and
+    every window read from its run curve come from here."""
+    s = desc[runs, None] * np.arange(1, repeat + 1, dtype=float)
+    s += np.concatenate(([0.0], ends[:-1]))[runs, None]
+    # divided out of the scratch into a fresh array: filling the dense curve in place,
+    # with no scratch, raised perfbench fine-grid's peak RSS by 14 %
+    return s.ravel() / ends[-1]
 
 
 def band_thetas(spec: GridSpec) -> np.ndarray:

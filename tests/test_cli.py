@@ -437,20 +437,22 @@ class TestReproduceCmd:
         assert calls["discretize_state"] == 10      # five states on two grids
         assert calls["lorenz"] == calls["discretize_state"]
 
-    @pytest.mark.parametrize("figure, bound", [
-        ("fig3", 6.5), ("fig4", 6.5), ("fig5", 6.5), ("fig6", 6.5), ("fig8", 4.5)])
+    @pytest.mark.parametrize("figure, n, bound", [
+        ("fig3", 200, 5.5), ("fig4", 200, 6.5), ("fig5", 200, 5.4), ("fig6", 200, 6.5),
+        ("fig7", 200, 3.4), ("fig8", 200, 1.4), ("fig5", 400, 4.4), ("fig8", 400, 0.6)])
     def test_doubled_grid_check_keeps_curves_not_distributions(self, tmp_path, monkeypatch,
-                                                               figure, bound):
+                                                               figure, n, bound):
         # the doubled grid runs first and its states stream through partial_order,
         # each freed once its curve exists, so the peak is the doubled grid's held
-        # curves plus the last state's transient.  At 200^2 fig3..fig6 peak at about
-        # 6.0 doubled-grid curves and fig8 at 4.0; they read 8.1-8.4 and 4.8 while
-        # the base grid's curves and distributions lived through the check
+        # curves plus the last state's transient; a phi-independent state's curve holds
+        # only its runs.  In doubled-grid curves, at 200^2: fig3 5.2, fig4 6.1, fig5 5.1,
+        # fig6 6.1 (one complex block of Q at 400^2 is two curves), fig7 3.1 and fig8
+        # 1.1; at 400^2: fig5 4.1, fig8 0.3
         monkeypatch.chdir(tmp_path)
-        curve_bytes = 8 * 400 * 400
+        curve_bytes = 8 * (2 * n) ** 2
         tracemalloc.start()
         try:
-            assert main(["reproduce", figure, "--n-theta", "200", "--n-phi", "200"]) == 0
+            assert main(["reproduce", figure, "--n-theta", str(n), "--n-phi", str(n)]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -681,6 +683,21 @@ class TestSubcommandInterface:
         first = out.splitlines()[0]
         assert first.startswith(f"usage: polmaj {command} [-h] [--n-theta N_THETA]")
         assert first.endswith(f"[--out OUT] {usage}")
+
+
+    @pytest.mark.parametrize("command", ["qdist", "compare", "chain", "measures", "reproduce"])
+    def test_out_help_says_what_is_written(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.lstrip().startswith("--out OUT"))
+        text = line.split("--out OUT", 1)[1].strip()
+        if command == "reproduce":
+            assert "writes BASE_lorenz.csv and BASE_verdicts.json" in text
+        else:
+            assert text == "output path"
 
 
 class TestStdoutGlyphs:

@@ -7,9 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polmaj.majorize as majmod
-from polmaj import (DiscreteDistribution, GridSpec, LorenzCurve, Relation, Verdict, compare,
-                    discretize_state, lorenz, make_analytic, make_coherent, make_phase,
-                    partial_order, random_pure, render_chain)
+from polmaj import (DiscreteDistribution, EulerRotation, GridSpec, LorenzCurve, Relation, Verdict,
+                    apply_su2, compare, discretize_state, lorenz, make_analytic, make_coherent,
+                    make_phase, partial_order, random_pure, render_chain)
+from polmaj.cli import FIGURES, parse_state_spec
 
 from oracles import permutation_mix, t_transform
 
@@ -362,6 +363,147 @@ class TestWindowedCompare:
                 for tol in (0.0, 1e-3):
                     v = compare(a, b, tol)
                     assert (v.relation, v.witnesses) == whole_array_verdict(a, b, tol)
+
+
+FIGURE_SPECS = sorted({spec for specs in FIGURES.values() for spec in specs})
+
+
+def assert_whole_array_verdicts(a, b):
+    """compare matches the whole difference in both argument orders, at tol 0 and 1e-3."""
+    for tol in (0.0, 1e-3):
+        for x, y in ((a, b), (b, a)):
+            v = compare(x, y, tol)
+            assert (v.relation, v.witnesses) == whole_array_verdict(x, y, tol)
+
+
+def curve_at(spec, grid):
+    return lorenz(discretize_state(parse_state_spec(spec).obj, grid))
+
+
+class TestBoundedCompare:
+    """Against a run curve, compare reads S(a) - S(b) at the run ends and then only
+    the runs that can hold an extreme; the verdict and the first-occurrence
+    witnesses must be those of the whole difference."""
+
+    @pytest.mark.parametrize("grid", [GridSpec(7, 13), GridSpec(400, 400)], ids=["7x13", "400^2"])
+    def test_figure_states_against_phi_independent_ones(self, grid):
+        curves = {spec: curve_at(spec, grid) for spec in FIGURE_SPECS}
+        run_specs = [spec for spec, c in curves.items() if c.run > 1]
+        assert len(run_specs) == 9       # coherent n = 2..5, squeezed n = 2, 4 and fig8's three
+        for spec in run_specs:
+            for other in FIGURE_SPECS:
+                assert_whole_array_verdicts(curves[spec], curves[other])
+
+    @pytest.mark.parametrize("figure", ["fig5", "fig8"])
+    def test_figure_pairs_at_800(self, figure):
+        curves = [curve_at(spec, GridSpec(800, 800)) for spec in FIGURES[figure]]
+        for i, a in enumerate(curves):
+            for b in curves[i + 1:]:
+                assert_whole_array_verdicts(a, b)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_haar_samples(self, n):
+        grid = GridSpec(400, 400)
+        coherent = lorenz(discretize_state(make_coherent(n), grid))
+        for seed in range(3):
+            sample = lorenz(discretize_state(random_pure(n, seed), grid))
+            assert_whole_array_verdicts(coherent, sample)
+
+    def test_rotated_coherent_state_equals_the_pole_one(self):
+        grid = GridSpec(400, 400)
+        pole = lorenz(discretize_state(make_coherent(4), grid))
+        rot = EulerRotation(0.7, 1.1, -2.0)
+        rotated = lorenz(discretize_state(apply_su2(make_coherent(4), rot), grid))
+        assert (pole.run, rotated.run) == (400, 1)
+        assert compare(pole, rotated) == Verdict(Relation.EQUAL)
+        assert_whole_array_verdicts(pole, rotated)
+
+    def test_caller_built_dense_curve_with_runs(self):
+        # checked only at its run ends, so compare reads every window of it
+        grid = GridSpec(400, 400)
+        d = discretize_state(make_coherent(3), grid)
+        dense = LorenzCurve(s=d.descending_cumsum, run=d.repeat)
+        for other in (curve_at("coherent:n=3", grid), curve_at("phase:n=3", grid),
+                      curve_at("thermal:nbar=10", grid)):
+            assert_whole_array_verdicts(dense, other)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_whole_difference_for_every_curve_form(self, data):
+        # N = 12 in runs of 1..12 pixels: run curves with equal and unequal run lengths,
+        # dense curves, and caller-built dense curves checked at their run ends only
+        def curve():
+            repeat = data.draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+            w = data.draw(st.lists(st.integers(0, 4), min_size=12 // repeat,
+                                   max_size=12 // repeat).filter(lambda w: sum(w) > 0))
+            d = DiscreteDistribution.from_weights(np.asarray(w, dtype=float), repeat=repeat)
+            form = data.draw(st.sampled_from(["lorenz", "dense", "dense-runs"]))
+            if form == "lorenz":
+                return lorenz(d)
+            return LorenzCurve(s=d.descending_cumsum, run=repeat if form == "dense-runs" else 1)
+
+        a, b = curve(), curve()
+        tol = data.draw(st.sampled_from([0.0, 1e-12, 0.05]))
+        block = data.draw(st.sampled_from([1, 2, 3, 5, 12]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(majmod, "_BLOCK", block)
+            v = compare(a, b, tol)
+        assert (v.relation, v.witnesses) == whole_array_verdict(a, b, tol)
+
+    def test_reads_only_the_runs_that_can_hold_an_extreme(self, monkeypatch):
+        grid = GridSpec(400, 400)
+        coherent = lorenz(discretize_state(make_coherent(5), grid))
+        sample = lorenz(discretize_state(random_pure(5, seed=1), grid))
+        read = []
+        run_values = LorenzCurve._run_values
+
+        def spy(curve, runs, run):
+            read.append(runs.size)
+            return run_values(curve, runs, run)
+
+        monkeypatch.setattr(LorenzCurve, "_run_values", spy)
+        assert compare(coherent, sample).relation is Relation.MAJORIZES
+        assert 0 < sum(read) <= 2 * 40        # a tenth of the 400 runs at most, on each curve
+
+
+class TestRunCurve:
+    def test_s_is_built_fresh_and_read_only_on_each_read(self):
+        d = DiscreteDistribution.from_weights([3.0, 1.0, 0.0, 2.0], repeat=3)
+        curve = lorenz(d)
+        first, second = curve.s, curve.s
+        assert first is not second and not first.flags.writeable
+        assert np.array_equal(first, d.descending_cumsum)
+        assert curve.n == len(curve) == 12 and curve.run == 3
+
+    def test_shares_the_dense_sums_a_distribution_already_holds(self):
+        d = DiscreteDistribution.from_weights([3.0, 1.0, 0.0, 2.0], repeat=3)
+        runs = lorenz(d)
+        assert runs.s is not runs.s                  # built on each read
+        s = d.descending_cumsum
+        shared = lorenz(d)
+        assert shared.s is s and shared.run == 3
+        assert compare(runs, shared, 0.0) == Verdict(Relation.EQUAL)
+
+    @pytest.mark.parametrize("repeat", [1, 3])
+    def test_windows_are_slices_of_s(self, repeat):
+        d = DiscreteDistribution.from_weights([3.0, 1.0, 0.0, 2.0], repeat=repeat)
+        curve = lorenz(d)
+        s = d.descending_cumsum
+        for start in [None, *range(-s.size - 1, s.size + 2)]:
+            for stop in [None, *range(-s.size - 1, s.size + 2)]:
+                assert np.array_equal(curve[start:stop], s[start:stop])
+        for bad in (0, slice(0, 4, 2), slice(None, None, -1)):
+            with pytest.raises(TypeError, match="slices with step 1"):
+                curve[bad]
+
+    @pytest.mark.parametrize("curve", [LorenzCurve(np.array([0.5, 1.0])),
+                                       lorenz(DiscreteDistribution.from_weights([1.0], repeat=2))],
+                             ids=["dense", "runs"])
+    def test_immutable(self, curve):
+        with pytest.raises(AttributeError):
+            curve.run = 2
+        with pytest.raises(AttributeError):
+            del curve.n
 
 
 class TestStageMemory:

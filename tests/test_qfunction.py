@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import polmaj.qfunction as qmod
 from polmaj import (EulerRotation, EvaluationError, GridSpec, MixedState, PureFockState,
                     apply_su2, band_thetas, discretize_state, make_analytic, make_coherent,
                     make_noon, make_phase, make_squeezed, q_on_grid, random_pure, sector_phis)
+
+from polmaj.cli import parse_state_spec
 
 from oracles import q_mixed, q_pure, rotation_matrix, su2_overlap
 
@@ -282,3 +285,53 @@ class TestBandBlocks:
         for state in PHI_DEPENDENT.values():
             assert np.array_equal(q_on_grid(state, thetas, phis),
                                   _whole_product_q(state, thetas, phis))
+
+
+# the built-in designators whose states can be mixture components (pure states)
+MIXABLE = ("coherent:n=3", "phase:n=4", "squeezed:n=4", "squeezed:n=5", "noon:n=4", "hs:n=4",
+           "random:n=3,seed=2")
+
+
+def _sum_of_components(mix, thetas, phis):
+    """Q of a mixture as the sum over components of w times each component's Q."""
+    return sum(w * q_on_grid(s, thetas, phis) for w, s in mix.components)
+
+
+class TestMixtureAccumulation:
+    """A mixture's Q is accumulated in one array, block by block, in the order of
+    the sum over its components."""
+
+    # 600^2: one block for a pure state, two for a mixture component
+    @pytest.mark.parametrize("spec", [GridSpec(7, 13), GridSpec(600, 600)], ids=["7x13", "600^2"])
+    def test_equals_the_sum_of_components(self, spec):
+        thetas, phis = band_thetas(spec), sector_phis(spec)
+        for i, a in enumerate(MIXABLE):
+            for b in MIXABLE[i + 1:]:
+                mix = MixedState(components=((0.3, parse_state_spec(a).obj),
+                                             (0.7, parse_state_spec(b).obj)))
+                got, want = q_on_grid(mix, thetas, phis), _sum_of_components(mix, thetas, phis)
+                assert got.shape == want.shape and np.array_equal(got, want), (a, b)
+
+    @pytest.mark.parametrize("qblock", [2, 100, 400])
+    def test_many_uneven_blocks(self, qblock, monkeypatch):
+        spec = GridSpec(37, 23)
+        thetas, phis = band_thetas(spec), sector_phis(spec)
+        mix = MixedState(components=((0.25, make_coherent(2)), (0.35, make_phase(4)),
+                                     (0.4, random_pure(6, seed=2))))
+        want = _sum_of_components(mix, thetas, phis)
+        monkeypatch.setattr(qmod, "_QBLOCK", qblock)
+        assert np.array_equal(q_on_grid(mix, thetas, phis), want)
+
+    def test_phi_dependent_mixture_peaks_at_two_grids(self):
+        # the sum, one block of a component's complex product and its modulus; the
+        # sum over fresh arrays peaked at 3.01 grids
+        spec = GridSpec(800, 800)
+        mix = MixedState(components=((0.5, parse_state_spec("phase:n=4").obj),
+                                     (0.5, parse_state_spec("noon:n=4").obj)))
+        tracemalloc.start()
+        try:
+            discretize_state(mix, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * 8 * spec.n_pixels
