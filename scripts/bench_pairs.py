@@ -8,7 +8,7 @@ checkout, one run at a time; the side that runs first alternates from pair to
 pair, starting with the parent.  Metric names, units and directions come from
 the change checkout's BENCHMARK.json, and so does the run length unless
 --seconds is given.  The output file is rewritten after every pair, so an
-interrupted session keeps the pairs it finished.
+interrupted run keeps the pairs it finished.
 """
 
 from __future__ import annotations
