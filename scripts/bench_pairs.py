@@ -6,9 +6,9 @@
 For each workload and seed it runs `perfbench/run.py --trace 0` once in each
 checkout, one run at a time; the side that runs first alternates from pair to
 pair, starting with the parent.  Metric names, units and directions come from
-the change checkout's BENCHMARK.json, and so does the run length unless
---seconds is given.  The output file is rewritten after every pair, so an
-interrupted run keeps the pairs it finished.
+the change checkout's BENCHMARK.json, and so does the run length, the same on
+both sides.  The output file is rewritten after every pair, so an interrupted
+run keeps the pairs it finished.
 """
 
 from __future__ import annotations
@@ -105,7 +105,6 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
     ap.add_argument("--seeds", type=parse_seeds, required=True, help='e.g. "201-210" or "3,5,8"')
     ap.add_argument("--workloads", nargs="+", help="default: every workload in BENCHMARK.json")
-    ap.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
     ap.add_argument("--note", default="", help="what the change does, for the output's header")
     ap.add_argument("--out", type=Path, required=True, help="BENCH_*.json to write")
     args = ap.parse_args(argv)
@@ -113,7 +112,7 @@ def main(argv=None) -> int:
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = {m["name"]: m for m in bench["end_to_end"]}
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     doc = {"change": args.note,
            "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> "
                       f"--seconds {seconds:g} --trace 0",

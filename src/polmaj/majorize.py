@@ -86,6 +86,9 @@ def _check_run_ends(ends: np.ndarray) -> None:
         raise ValueError(f"S_N must equal 1, got {ends[-1]!r}")
 
 
+# eq=False: it holds arrays, so it compares and hashes by identity.  init=False: the
+# two forms are built by __init__ (dense) and _from_runs (runs)
+@dataclass(frozen=True, eq=False, init=False)
 class LorenzCurve:
     """Ordered partial sums S_k, k = 1..N: cumulative sums of p sorted descending.
 
@@ -98,10 +101,13 @@ class LorenzCurve:
     ends (see `sphere_grid.run_partial_sums`), 2 N / run floats.  Read S_k by
     window: `curve[start:stop]` is a view of a dense curve and a fresh array for a
     run curve, and `curve.s` builds a fresh read-only array of all N values on each
-    access of a run curve.  Curves are immutable and compare by identity.
+    access of a run curve.
     """
 
-    __slots__ = ("run", "n", "_s", "_runs")
+    run: int
+    n: int
+    _s: Optional[np.ndarray]                          # a dense curve's S_k
+    _runs: Optional[tuple[np.ndarray, np.ndarray]]    # a run curve's (desc, ends)
 
     def __init__(self, s, run: int = 1):
         s = owned_read_only(s)
@@ -111,27 +117,17 @@ class LorenzCurve:
                 or s.size % run):
             raise ValueError(f"run must be a positive integer dividing N = {s.size}, got {run!r}")
         _check_run_ends(s[run - 1::run])
-        self._init(int(run), s.size, s, None)
+        self.__dict__.update(run=int(run), n=s.size, _s=s, _runs=None)
 
     @classmethod
     def _from_runs(cls, desc: np.ndarray, ends: np.ndarray, run: int) -> "LorenzCurve":
         """The run curve of `sorted_runs` output, checked at its n_theta run ends."""
         _check_run_ends(ends / ends[-1])
-        curve = object.__new__(cls)
         for a in (desc, ends):
             a.flags.writeable = False
-        curve._init(run, desc.size * run, None, (desc, ends))
+        curve = object.__new__(cls)
+        curve.__dict__.update(run=run, n=desc.size * run, _s=None, _runs=(desc, ends))
         return curve
-
-    def _init(self, run, n, s, runs) -> None:
-        for name, value in zip(self.__slots__, (run, n, s, runs)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"LorenzCurve is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"LorenzCurve is immutable: cannot delete {name!r}")
 
     def __len__(self) -> int:
         return self.n
@@ -181,7 +177,7 @@ def lorenz(dist: DiscreteDistribution) -> LorenzCurve:
     # a run curve there would let the distribution's N-sized array be freed with it
     # and rebuilt on every read of .s: perfbench fine-grid, which reads K(alpha)
     # before the curve, lost 6 % of its throughput to that in paired runs
-    if dist.repeat == 1 or "descending_cumsum" in dist.__dict__:
+    if dist.repeat == 1 or dist.holds_descending_cumsum:
         return LorenzCurve(s=dist.descending_cumsum, run=dist.repeat)
     return LorenzCurve._from_runs(*sorted_runs(dist.values, dist.repeat), dist.repeat)
 

@@ -136,6 +136,11 @@ class DiscreteDistribution:
         p.flags.writeable = False
         return p
 
+    @property
+    def holds_descending_cumsum(self) -> bool:
+        """Whether `descending_cumsum` is built already; once built it is kept."""
+        return "descending_cumsum" in self.__dict__
+
     @cached_property
     def descending_cumsum(self) -> np.ndarray:
         """S_k: p sorted in decreasing order and accumulated, read-only, ending at

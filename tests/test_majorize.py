@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -504,6 +507,20 @@ class TestRunCurve:
             curve.run = 2
         with pytest.raises(AttributeError):
             del curve.n
+
+    @pytest.mark.parametrize("curve", [LorenzCurve(np.array([0.5, 1.0])),
+                                       lorenz(DiscreteDistribution.from_weights([3.0, 1.0], repeat=2))],
+                             ids=["dense", "runs"])
+    @pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy,
+                                         lambda c: pickle.loads(pickle.dumps(c))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_and_pickles(self, curve, copy_of):
+        twin = copy_of(curve)
+        assert (twin.run, twin.n) == (curve.run, curve.n)
+        assert np.array_equal(twin.s, curve.s)
+        assert compare(twin, curve, 0.0) == Verdict(Relation.EQUAL)
+        assert [f.name for f in dataclasses.fields(twin)] == ["run", "n", "_s", "_runs"]
+        assert repr(twin).startswith("LorenzCurve(run=")
 
 
 class TestStageMemory:
