@@ -29,7 +29,7 @@ import numpy as np
 
 from .csvtext import block_text
 from .majorize import (DEFAULT_TOL, GLYPHS_ASCII, GLYPHS_UNICODE, PartialOrderResult,
-                       Relation, Verdict, partial_order, render_chain)
+                       Relation, Verdict, partial_order, render_chain, summary_relations)
 from .measures import ALPHA_SWEEP, RENYI_Q_SWEEP, confidence_interval, renyi
 from .sphere_grid import (DEFAULT_GRID, EvaluationError, GridSpec, band_thetas, discretize_state,
                           sector_phis)
@@ -308,10 +308,14 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     specs = FIGURES[args.figure]
     parsed, labels = _parse(specs, use_letter=True)
     grid = _grid(args)
-    # the doubled grid runs first and keeps only its relations, so its curves are
-    # freed before any base-grid array is built
+    # the doubled grid runs first and keeps only its relations.  They are read from a
+    # few S_k of each curve, so one doubled-grid curve is alive at a time; only if
+    # that leaves a pair open are its states ordered as the base grid's are
     doubled = GridSpec(2 * grid.n_theta, 2 * grid.n_phi)
-    doubled_relations = _relations(_order(parsed, labels, doubled, args.tol)[0])
+    doubled_relations = summary_relations(
+        (discretize_state(p.obj, doubled) for p in parsed), args.tol)
+    if doubled_relations is None:
+        doubled_relations = _relations(_order(parsed, labels, doubled, args.tol)[0])
     result, raw_masses = _order(parsed, labels, grid, args.tol)
     stable = _relations(result) == doubled_relations
     print(render_chain(result.layers, ascii_glyphs=_stdout_glyphs() is GLYPHS_ASCII))

@@ -8,6 +8,7 @@ and genuine crossings are reported as Incomparable with witness indices.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -15,7 +16,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .sphere_grid import DiscreteDistribution, owned_read_only, run_partial_sums, sorted_runs
+from .sphere_grid import (DiscreteDistribution, owned_read_only, read_only_setstate,
+                          run_partial_sums, run_values, sorted_runs)
 
 # Default absolute tolerance on cumulative sums.  Calibrated so it sits well above
 # the discretization scatter of the default 400x400 grid (rotation-equivalent
@@ -27,6 +29,11 @@ DEFAULT_TOL = 1e-3
 # LorenzCurve checks S_k, and compare differences two curves, in windows of this
 # many values, so their temporaries stay in cache whatever N is.
 _BLOCK = 1 << 15
+
+# summary_relations reads each curve at ceil(_SUMMARY_SCALE / tol) indices: segments
+# of tol / 16 in area fraction, short enough that its bounds decide every pair of
+# fig3-fig8 on grids from 20^2 to 800^2 at tol 1e-2 to 1e-4
+_SUMMARY_SCALE = 16
 
 
 class Relation(Enum):
@@ -98,10 +105,11 @@ class LorenzCurve:
 
     A run curve, which `lorenz` builds from a repeated distribution that has not
     built its dense partial sums, holds only the sorted band values and the run
-    ends (see `sphere_grid.run_partial_sums`), 2 N / run floats.  Read S_k by
-    window: `curve[start:stop]` is a view of a dense curve and a fresh array for a
-    run curve, and `curve.s` builds a fresh read-only array of all N values on each
-    access of a run curve.
+    ends (see `sphere_grid.run_values`), 2 N / run floats.  Read S_k by window:
+    `curve[start:stop]` is a view of a dense curve and a fresh array for a run curve,
+    and `curve.s` builds a fresh read-only array of all N values on each access of a
+    run curve.  `curve.at(k)` reads S at chosen indices.  Copies and unpickled curves
+    hold read-only arrays, as built ones do.
     """
 
     run: int
@@ -129,6 +137,8 @@ class LorenzCurve:
         curve.__dict__.update(run=run, n=desc.size * run, _s=None, _runs=(desc, ends))
         return curve
 
+    __setstate__ = read_only_setstate
+
     def __len__(self) -> int:
         return self.n
 
@@ -152,6 +162,14 @@ class LorenzCurve:
         s = run_partial_sums(*self._runs, self.run)
         s.flags.writeable = False
         return s
+
+    def at(self, k: np.ndarray) -> np.ndarray:
+        """S at the 0-based indices k (an integer array) in a fresh array, bit for bit
+        the values of `.s` there; a run curve computes them from its runs alone."""
+        if self._runs is None:
+            return self._s[k]
+        j, i = np.divmod(k, self.run)
+        return run_values(*self._runs, j, i + 1.0)
 
     def _run_ends(self, run: int) -> Optional[np.ndarray]:
         """S at the ends of runs of `run` pixels, when S is known to be nondecreasing
@@ -187,27 +205,33 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
 
 
+def _segment_bounds(ends_a: np.ndarray, ends_b: np.ndarray):
+    """(at, lo, hi) for two curves read at the same ascending indices k_1 < ... < k_M:
+    at = S(a) - S(b) there, and, when both curves are nondecreasing, bounds
+    lo_i <= S_k(a) - S_k(b) <= hi_i for every k_(i-1) < k <= k_i, rounding included:
+    lo_i = A_(i-1) - B_i and hi_i = A_i - B_(i-1), with A_0 = B_0 = 0.  Fresh arrays."""
+    at = ends_a - ends_b
+    ends_a, ends_b = np.concatenate(([0.0], ends_a)), np.concatenate(([0.0], ends_b))
+    return at, ends_a[:-1] - ends_b[1:], ends_a[1:] - ends_b[:-1]
+
+
 def _differences(a: LorenzCurve, b: LorenzCurve):
     """S(a) - S(b) in index order, in chunks of at most _BLOCK values, each as
     (d, firsts, width): row r of d holds `width` consecutive values from 0-based
     k = firsts[r] on (a window is one row).
 
     When one curve is a run curve and the other is nondecreasing inside each of its
-    runs, only the runs that can hold an extreme are read: with A_j and B_j the curves
-    at the end of run j (A_-1 = B_-1 = 0), every d_k of run j lies in
-    [A_{j-1} - B_j, A_j - B_{j-1}], rounding included, so a run whose upper bound stays
-    below the largest run-end difference cannot hold the maximum, nor can one whose
-    lower bound stays above the smallest hold the minimum.  Otherwise every window is
-    read."""
+    runs, only the runs that can hold an extreme are read: every d_k of a run lies in
+    its `_segment_bounds`, so a run whose upper bound stays below the largest run-end
+    difference cannot hold the maximum, nor can one whose lower bound stays above the
+    smallest hold the minimum.  Otherwise every window is read."""
     run = max(a.run, b.run)
     ends_a, ends_b = a._run_ends(run), b._run_ends(run)
     if run == 1 or ends_a is None or ends_b is None:
         for start in range(0, a.n, _BLOCK):
             yield a[start:start + _BLOCK] - b[start:start + _BLOCK], (start,), _BLOCK
         return
-    at_ends = ends_a - ends_b
-    ends_a, ends_b = np.concatenate(([0.0], ends_a)), np.concatenate(([0.0], ends_b))
-    hi, lo = ends_a[1:] - ends_b[:-1], ends_a[:-1] - ends_b[1:]
+    at_ends, lo, hi = _segment_bounds(ends_a, ends_b)
     candidates = np.flatnonzero((hi >= at_ends.max()) | (lo <= at_ends.min()))
     step = max(1, _BLOCK // run)
     for start in range(0, candidates.size, step):
@@ -215,6 +239,11 @@ def _differences(a: LorenzCurve, b: LorenzCurve):
         d = a._run_values(runs, run)            # a fresh array either way
         d -= b._run_values(runs, run)
         yield d, runs * run, run
+
+
+# the relation from (max S(a) - S(b) <= tol, min S(a) - S(b) >= -tol)
+_RELATIONS = {(True, True): Relation.EQUAL, (False, True): Relation.MAJORIZES,
+              (True, False): Relation.MAJORIZED_BY, (False, False): Relation.INCOMPARABLE}
 
 
 def compare(a: LorenzCurve, b: LorenzCurve, tol: float = DEFAULT_TOL) -> Verdict:
@@ -239,13 +268,44 @@ def compare(a: LorenzCurve, b: LorenzCurve, tol: float = DEFAULT_TOL) -> Verdict
         if d.flat[j] < dn:
             dn, k_dn = float(d.flat[j]), int(firsts[j // width]) + j % width
         del d                           # freed before the next chunk is read
-    if up <= tol and -dn <= tol:
-        return Verdict(Relation.EQUAL)
-    if dn >= -tol:
-        return Verdict(Relation.MAJORIZES)
-    if up <= tol:
-        return Verdict(Relation.MAJORIZED_BY)
-    return Verdict(Relation.INCOMPARABLE, witnesses=(k_up + 1, k_dn + 1))
+    relation = _RELATIONS[up <= tol, dn >= -tol]
+    return Verdict(relation, (k_up + 1, k_dn + 1) if relation is Relation.INCOMPARABLE else None)
+
+
+def summary_relations(dists: Iterable[DiscreteDistribution],
+                      tol: float = DEFAULT_TOL) -> Optional[list[list[Relation]]]:
+    """The relations of `partial_order(..., tol)` over the distributions `dists`, from
+    each curve read at M = min(N, ceil(16 / tol)) indices k_i = floor(i N / M) alone,
+    or None when that leaves any pair open.
+
+    `dists` is read once, and each curve is built, read and freed before the next
+    distribution is read, so M floats per distribution are kept.  S(a) - S(b) is exact
+    at the k_i and within its `_segment_bounds` between them; a pair is decided when
+    the exact values or the bounds settle both the maximum's side of +tol and the
+    minimum's side of -tol."""
+    _check_tol(tol)
+    summaries, sizes = [], set()
+    for dist in dists:
+        n = dist.n_pixels
+        sizes.add(n)
+        m = n if tol * n <= _SUMMARY_SCALE else math.ceil(_SUMMARY_SCALE / tol)
+        k = np.arange(1, m + 1) * n // m                    # 1-based
+        summaries.append(lorenz(dist).at(k - 1))
+        alone = np.diff(k, prepend=0) == 1      # segments whose only index is k_i
+        del dist, k                 # freed before the next item is built
+    if len(sizes) > 1:
+        raise ValueError(f"distributions live on different grids: sizes {sorted(sizes)}")
+
+    def relation(a: np.ndarray, b: np.ndarray) -> Optional[Relation]:
+        at, lo, hi = _segment_bounds(a, b)
+        lo[alone] = hi[alone] = at[alone]
+        if at.max() <= tol < hi.max() or lo.min() < -tol <= at.min():
+            return None
+        return _RELATIONS[bool(hi.max() <= tol), bool(lo.min() >= -tol)]
+
+    rel = [[Relation.EQUAL if i == j else relation(a, b) for j, b in enumerate(summaries)]
+           for i, a in enumerate(summaries)]
+    return None if any(None in row for row in rel) else rel
 
 
 GLYPHS_UNICODE = {"prec": "≺", "join": "⋈", "equal": "≡"}

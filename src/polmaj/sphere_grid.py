@@ -33,6 +33,24 @@ def owned_read_only(a) -> np.ndarray:
     return a
 
 
+def read_only_setstate(obj, state: dict) -> None:
+    """`__setstate__` of the frozen classes that hold arrays: the arrays of a copied or
+    unpickled state, also those in tuples, pass through `owned_read_only`, and arrays
+    that were one object stay one."""
+    made: dict[int, np.ndarray] = {}
+
+    def fix(v):
+        if isinstance(v, tuple):
+            return tuple(map(fix, v))
+        if isinstance(v, np.ndarray):
+            if id(v) not in made:
+                made[id(v)] = owned_read_only(v)
+            return made[id(v)]
+        return v
+
+    obj.__dict__.update({key: fix(v) for key, v in state.items()})
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Pixelization parameters: n_theta cos-theta bands times n_phi azimuth sectors."""
@@ -112,6 +130,8 @@ class DiscreteDistribution:
         object.__setattr__(self, "raw_mass", float(self.raw_mass))
         object.__setattr__(self, "repeat", repeat)
 
+    __setstate__ = read_only_setstate
+
     @classmethod
     def from_weights(cls, weights, repeat: int = 1) -> "DiscreteDistribution":
         """Normalize nonnegative weights, each standing for `repeat` pixels, to unit
@@ -176,14 +196,22 @@ def run_partial_sums(desc: np.ndarray, ends: np.ndarray, repeat: int,
                      runs=slice(None)) -> np.ndarray:
     """S_k over the whole runs `runs` (a slice, or an ascending array of run indices) of
     the curve with runs (desc, ends) from `sorted_runs`, run after run in a fresh
-    array: pixel i = 1..repeat of run j has S = (E[j-1] + i * desc[j]) / E[-1].
+    array, by `run_values`: the dense curve of a repeated distribution and every window
+    read from its run curve come from here."""
+    j = np.arange(desc.size)[runs, None]
+    return run_values(desc, ends, j, np.arange(1, repeat + 1, dtype=float))
 
-    The last pixel of run j is E[j] / E[-1] bit for bit, so the curve is nondecreasing,
-    S_N = 1 exactly, and a check of the run ends checks the n_theta values E / E[-1].
-    The one formula for every S_k of a repeated distribution: its dense curve and
-    every window read from its run curve come from here."""
-    s = desc[runs, None] * np.arange(1, repeat + 1, dtype=float)
-    s += np.concatenate(([0.0], ends[:-1]))[runs, None]
+
+def run_values(desc: np.ndarray, ends: np.ndarray, j: np.ndarray, i) -> np.ndarray:
+    """S at pixel i (1-based, as floats) of run j, broadcast together and flattened, of
+    the curve with runs (desc, ends) from `sorted_runs`, in a fresh array that owns its
+    data: S = (E[j-1] + i * desc[j]) / E[-1].
+
+    The one formula for every S_k of a repeated distribution.  The last pixel of run j
+    is E[j] / E[-1] bit for bit, so the curve is nondecreasing, S_N = 1 exactly, and a
+    check of the run ends checks the n_theta values E / E[-1]."""
+    s = desc[j] * i
+    s += np.where(j > 0, ends[j - 1], 0.0)
     # divided out of the scratch into a fresh array: filling the dense curve in place,
     # with no scratch, raised perfbench fine-grid's peak RSS by 14 %
     return s.ravel() / ends[-1]

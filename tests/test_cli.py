@@ -438,16 +438,17 @@ class TestReproduceCmd:
         assert calls["lorenz"] == calls["discretize_state"]
 
     @pytest.mark.parametrize("figure, n, bound", [
-        ("fig3", 200, 5.5), ("fig4", 200, 6.5), ("fig5", 200, 5.4), ("fig6", 200, 6.5),
-        ("fig7", 200, 3.4), ("fig8", 200, 1.4), ("fig5", 400, 4.4), ("fig8", 400, 0.6)])
+        ("fig3", 200, 3.8), ("fig4", 200, 3.7), ("fig5", 200, 3.7), ("fig6", 200, 3.7),
+        ("fig7", 200, 3.4), ("fig8", 200, 1.15), ("fig5", 400, 2.4), ("fig8", 400, 0.33)])
     def test_doubled_grid_check_keeps_curves_not_distributions(self, tmp_path, monkeypatch,
                                                                figure, n, bound):
-        # the doubled grid runs first and its states stream through partial_order,
-        # each freed once its curve exists, so the peak is the doubled grid's held
-        # curves plus the last state's transient; a phi-independent state's curve holds
-        # only its runs.  In doubled-grid curves, at 200^2: fig3 5.2, fig4 6.1, fig5 5.1,
-        # fig6 6.1 (one complex block of Q at 400^2 is two curves), fig7 3.1 and fig8
-        # 1.1; at 400^2: fig5 4.1, fig8 0.3
+        # the doubled grid runs first, and each of its curves is read at M = 16,000
+        # indices and freed before the next state is built, so the peak is one state's
+        # transient plus M floats per state read so far: a phi-dependent Q and one
+        # complex band block of it are three doubled-grid curves at 400^2 (one block)
+        # and two at 800^2 (two blocks).  In doubled-grid curves, at 200^2: fig3 3.51,
+        # fig4 3.40, fig5 3.40, fig6 3.42, fig7 3.17 and fig8 1.07; at 400^2: fig5 2.22,
+        # fig8 0.30
         monkeypatch.chdir(tmp_path)
         curve_bytes = 8 * (2 * n) ** 2
         tracemalloc.start()
@@ -457,6 +458,48 @@ class TestReproduceCmd:
         finally:
             tracemalloc.stop()
         assert peak <= bound * curve_bytes
+
+    def test_doubled_grid_holds_one_curve_at_a_time(self, tmp_path, monkeypatch):
+        import gc
+        import weakref
+        import polmaj.majorize as majmod
+        doubled, refs, lorenz_of = 4 * 40 * 40, [], majmod.lorenz
+
+        def tracked(dist):
+            gc.collect()
+            assert all(r() is None for r in refs)
+            curve = lorenz_of(dist)
+            if curve.n == doubled:
+                refs.append(weakref.ref(curve))
+            return curve
+
+        monkeypatch.setattr(majmod, "lorenz", tracked)
+        monkeypatch.chdir(tmp_path)
+        assert main(["reproduce", "fig5", "--n-theta", "40", "--n-phi", "40"]) == 0
+        assert len(refs) == 5
+
+    @pytest.mark.parametrize("figure, n, code", [("fig3", 20, 1), ("fig5", 40, 0)])
+    def test_open_pairs_fall_back_to_the_full_order(self, tmp_path, monkeypatch, capsys,
+                                                    figure, n, code):
+        import polmaj.cli as climod
+        argv = ["reproduce", figure, "--n-theta", str(n), "--n-phi", str(n)]
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--out", "summary"]) == code
+        out = capsys.readouterr().out
+        grids, order = [], climod._order
+
+        def spy(parsed, labels, grid, tol):
+            grids.append(grid.n_theta)
+            return order(parsed, labels, grid, tol)
+
+        monkeypatch.setattr(climod, "_order", spy)
+        monkeypatch.setattr("polmaj.majorize._SUMMARY_SCALE", 1e-12)   # M = 1: all open
+        assert main(argv + ["--out", "full"]) == code
+        assert grids == [2 * n, n]
+        assert capsys.readouterr().out == out
+        for suffix in ("_lorenz.csv", "_verdicts.json"):
+            assert (tmp_path / f"full{suffix}").read_bytes() == \
+                (tmp_path / f"summary{suffix}").read_bytes()
 
     def test_unknown_figure_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -13,7 +13,7 @@ import polmaj.majorize as majmod
 from polmaj import (DiscreteDistribution, EulerRotation, GridSpec, LorenzCurve, Relation, Verdict,
                     apply_su2, compare, discretize_state, lorenz, make_analytic, make_coherent,
                     make_phase, partial_order, random_pure, render_chain)
-from polmaj.cli import FIGURES, parse_state_spec
+from polmaj.cli import FIGURES, _relations, parse_state_spec
 
 from oracles import permutation_mix, t_transform
 
@@ -521,6 +521,102 @@ class TestRunCurve:
         assert compare(twin, curve, 0.0) == Verdict(Relation.EQUAL)
         assert [f.name for f in dataclasses.fields(twin)] == ["run", "n", "_s", "_runs"]
         assert repr(twin).startswith("LorenzCurve(run=")
+        for a in [twin._s] if twin._runs is None else twin._runs:
+            assert not a.flags.writeable
+
+    @pytest.mark.parametrize("repeat", [1, 3])
+    @pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy,
+                                         lambda c: pickle.loads(pickle.dumps(c))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_distribution_copies_and_pickles(self, repeat, copy_of):
+        # with its cached p and descending_cumsum built, which copy along
+        d = DiscreteDistribution.from_weights([3.0, 1.0, 0.0, 2.0], repeat=repeat)
+        d.p, d.descending_cumsum
+        twin = copy_of(d)
+        assert set(twin.__dict__) == {"values", "raw_mass", "repeat", "p", "descending_cumsum"}
+        for key in ("values", "p", "descending_cumsum"):
+            assert not twin.__dict__[key].flags.writeable
+            assert np.array_equal(twin.__dict__[key], d.__dict__[key])
+        assert (twin.p is twin.values) == (repeat == 1)
+        assert compare(lorenz(twin), lorenz(d), 0.0) == Verdict(Relation.EQUAL)
+
+    @pytest.mark.parametrize("make, run", [
+        (lambda: discretize_state(make_phase(3), GridSpec(400, 400)), 1),
+        (lambda: DiscreteDistribution.from_weights(np.random.default_rng(0).uniform(size=100),
+                                                   repeat=3), 3),
+        (lambda: discretize_state(make_coherent(3), GridSpec(400, 400)), 400)],
+        ids=["dense", "runs-of-3", "runs-of-400"])
+    def test_at_reads_s_bit_for_bit(self, make, run):
+        curve = lorenz(make())
+        assert curve.run == run
+        k = np.unique(np.random.default_rng(1).integers(0, curve.n, 500))
+        k = np.concatenate(([0], k, [curve.n - 1]))
+        got = curve.at(k)
+        assert got.dtype == float and got.flags.writeable
+        assert np.array_equal(got, curve.s[k])
+
+    def test_at_of_a_run_curve_builds_no_n_values(self, monkeypatch):
+        curve = lorenz(discretize_state(make_coherent(4), GridSpec(800, 800)))
+        k = np.arange(1, 16001) * curve.n // 16000 - 1
+        want = curve.s[k]
+        monkeypatch.setattr(LorenzCurve, "s", property(lambda c: pytest.fail("built .s")))
+        tracemalloc.start()
+        try:
+            got = curve.at(k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak <= 8 * k.nbytes              # a few temporaries of M values, not N
+
+
+class TestSummaryRelations:
+    """summary_relations reads each curve at M = min(N, ceil(16 / tol)) indices and
+    must give partial_order's relations, or None for a pair its bounds leave open."""
+
+    def test_segment_bounds_hold_every_value(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            a, b = (lorenz(dist_from_ints(rng.integers(1, 1000, 24) ** 2)) for _ in range(2))
+            k = np.sort(rng.choice(23, size=rng.integers(1, 23), replace=False))
+            k = np.append(k, 23)
+            at, lo, hi = majmod._segment_bounds(a.at(k), b.at(k))
+            d = a.s - b.s
+            assert np.array_equal(at, d[k])
+            for i, (first, last) in enumerate(zip(np.concatenate(([0], k[:-1] + 1)), k)):
+                assert lo[i] <= d[first:last + 1].min() and d[first:last + 1].max() <= hi[i]
+
+    def test_bounds_straddling_tol_leave_the_pair_open(self, monkeypatch):
+        # S_a = .5, 1, 1, 1 and S_b = .25, .5, .75, 1 read at k = 2, 4: the difference is
+        # .5 and 0 there, and the bound on the first segment reaches -.5 and +1, across
+        # -tol for (a, b) and across +tol for (b, a), although every S_k(a) >= S_k(b)
+        a, b = dist(0.5, 0.5, 0.0, 0.0), dist(0.25, 0.25, 0.25, 0.25)
+        tol = 0.1
+        at, lo, hi = majmod._segment_bounds(np.array([1.0, 1.0]), np.array([0.5, 1.0]))
+        assert at.tolist() == [0.5, 0.0] and lo.tolist() == [-0.5, 0.0]
+        assert hi.tolist() == [1.0, 0.5]
+        assert lo.min() < -tol <= at.min()
+        monkeypatch.setattr(majmod, "_SUMMARY_SCALE", 2 * tol)     # M = 2
+        assert majmod.summary_relations([a, b], tol) is None
+        monkeypatch.setattr(majmod, "_SUMMARY_SCALE", 4 * tol)     # M = N = 4: exact
+        assert majmod.summary_relations([a, b], tol) == [
+            [Relation.EQUAL, Relation.MAJORIZES], [Relation.MAJORIZED_BY, Relation.EQUAL]]
+        assert _relations(partial_order([("a", a), ("b", b)], tol))[0][1] is Relation.MAJORIZES
+
+    @pytest.mark.parametrize("n", [10, 20, 40, 80, 100, 200, 400, 800])
+    def test_figures_match_partial_order(self, n):
+        # reproduce's base grids 10^2..400^2 and their doubled grids; every pair is
+        # decided, so reproduce never falls back to ordering in full
+        grid = GridSpec(n, n)
+        for specs in FIGURES.values():
+            dists = [discretize_state(parse_state_spec(s).obj, grid) for s in specs]
+            for tol in (1e-2, 1e-3, 1e-4):
+                want = _relations(partial_order(zip(specs, dists), tol))
+                assert majmod.summary_relations(iter(dists), tol) == want
+
+    def test_grid_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="different grids"):
+            majmod.summary_relations([dist(0.5, 0.5), dist(0.2, 0.3, 0.5)])
 
 
 class TestStageMemory:
