@@ -28,6 +28,9 @@ METHOD = ("pairs of one parent run and one change run on the same seed, one work
           "seed); each side runs in its own checkout; quartiles by linear interpolation; "
           "change_better_in counts pairs, ties for neither")
 SIDES = ("parent", "change")
+# variables of the runner's environment, which run.py's children inherit, that move
+# perfbench's numbers: setup_s with bytecode writing, peak_rss_mb with glibc's heap
+ENV_KEYS = ("PYTHONDONTWRITEBYTECODE", "MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_")
 
 
 def quartiles(runs: list[float]) -> dict:
@@ -93,6 +96,23 @@ def parse_seeds(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
 
+def checkout_state(checkout: Path, run=subprocess.run) -> dict:
+    """The commit checked out in `checkout` (`git rev-parse HEAD`) and whether its tree
+    differs from that commit (`git status --porcelain`); both None outside git."""
+    try:
+        head, status = (run(["git", *args], cwd=checkout, capture_output=True, text=True,
+                            check=True).stdout
+                        for args in (["rev-parse", "HEAD"], ["status", "--porcelain"]))
+    except (OSError, subprocess.CalledProcessError):
+        return {"head": None, "dirty": None}
+    return {"head": head.strip(), "dirty": bool(status.strip())}
+
+
+def runner_env(environ=os.environ) -> dict:
+    """The runner's values of ENV_KEYS, None where unset."""
+    return {key: environ.get(key) for key in ENV_KEYS}
+
+
 def host() -> dict:
     import numpy
     return {"cores": os.cpu_count(), "python": platform.python_version(),
@@ -116,7 +136,10 @@ def main(argv=None) -> int:
     doc = {"change": args.note,
            "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> "
                       f"--seconds {seconds:g} --trace 0",
-           "host": host(), "method": METHOD, "workloads": {}}
+           "host": host(), "env": runner_env(),
+           "checkouts": {side: checkout_state(args.parent if side == "parent" else args.change)
+                         for side in SIDES},
+           "method": METHOD, "workloads": {}}
     for workload in workloads:
         results: dict[str, list[dict]] = {side: [] for side in SIDES}
         parent_first: list[bool] = []

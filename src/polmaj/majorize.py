@@ -164,8 +164,10 @@ class LorenzCurve:
         return s
 
     def at(self, k: np.ndarray) -> np.ndarray:
-        """S at the 0-based indices k (an integer array) in a fresh array, bit for bit
-        the values of `.s` there; a run curve computes them from its runs alone."""
+        """S at the 0-based indices k (integers in [0, N), else IndexError) in a fresh
+        array, bit for bit `.s` there; a run curve computes them from its runs alone."""
+        if np.min(k, initial=0) < 0 or np.max(k, initial=0) >= self.n:
+            raise IndexError(f"Lorenz curve indices must lie in [0, {self.n})")
         if self._runs is None:
             return self._s[k]
         j, i = np.divmod(k, self.run)

@@ -14,8 +14,14 @@ with warnings.catch_warnings():
     except ImportError:
         pass
 
+from hypothesis import settings
+
 from polmaj import DiscreteDistribution, GridSpec, discretize_state, lorenz
 from polmaj.cli import parse_state_spec
+
+# `--hypothesis-profile thorough` runs every property ten times longer than the
+# default 100 examples (CI runs the CSV byte oracle this way)
+settings.register_profile("thorough", max_examples=1000)
 
 DEFAULT_GRID = GridSpec(400, 400)
 DOUBLED_GRID = GridSpec(800, 800)

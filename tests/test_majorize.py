@@ -555,6 +555,20 @@ class TestRunCurve:
         assert got.dtype == float and got.flags.writeable
         assert np.array_equal(got, curve.s[k])
 
+    @pytest.mark.parametrize("form", ["dense", "runs"])
+    def test_at_refuses_indices_outside_the_curve(self, form):
+        # numpy would wrap -1 to S_N = 1 on a dense curve, while a run curve read the
+        # last pixel of run -1 before the first: both refuse it, and N
+        curve = lorenz(discretize_state(make_coherent(2), GridSpec(8, 8)))
+        assert curve.run == 8
+        if form == "dense":
+            curve = LorenzCurve(curve.s)
+        for bad in ([-1], [curve.n], [0, curve.n - 1, -1]):
+            with pytest.raises(IndexError):
+                curve.at(np.array(bad))
+        assert curve.at(np.array([curve.n - 1, 3])).tolist() == curve.s[[curve.n - 1, 3]].tolist()
+        assert curve.at(np.array([], dtype=int)).size == 0
+
     def test_at_of_a_run_curve_builds_no_n_values(self, monkeypatch):
         curve = lorenz(discretize_state(make_coherent(4), GridSpec(800, 800)))
         k = np.arange(1, 16001) * curve.n // 16000 - 1

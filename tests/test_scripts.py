@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -90,3 +91,41 @@ def test_bench_pairs_parses_seed_ranges_and_lists():
     bp = load_bench_pairs()
     assert bp.parse_seeds("201-204") == [201, 202, 203, 204]
     assert bp.parse_seeds("3,5,8") == [3, 5, 8]
+
+
+def test_bench_pairs_records_each_checkouts_commit_and_dirty_tree():
+    bp = load_bench_pairs()
+    calls = []
+
+    def git(cmd, cwd, **kwargs):
+        calls.append((cmd, cwd))
+        out = {"rev-parse": "0e50bbb2\n", "status": " M src/polmaj/csvtext.py\n"}[cmd[1]]
+        return subprocess.CompletedProcess(cmd, 0, stdout=out)
+
+    assert bp.checkout_state(Path("change"), run=git) == {"head": "0e50bbb2", "dirty": True}
+    assert calls == [(["git", "rev-parse", "HEAD"], Path("change")),
+                     (["git", "status", "--porcelain"], Path("change"))]
+
+    def clean_git(cmd, cwd, **kwargs):
+        out = "0e50bbb2\n" if cmd[1] == "rev-parse" else ""
+        return subprocess.CompletedProcess(cmd, 0, stdout=out)
+
+    assert bp.checkout_state(Path("parent"), run=clean_git) == {"head": "0e50bbb2", "dirty": False}
+
+
+@pytest.mark.parametrize("error", [
+    subprocess.CalledProcessError(128, ["git"], "", "fatal: not a git repository"),
+    FileNotFoundError("git")], ids=["not-a-checkout", "no-git"])
+def test_bench_pairs_checkout_state_is_null_outside_git(error):
+    def git(cmd, cwd, **kwargs):
+        raise error
+
+    assert load_bench_pairs().checkout_state(Path("."), run=git) == {"head": None, "dirty": None}
+
+
+def test_bench_pairs_records_the_runners_allocator_and_bytecode_settings():
+    bp = load_bench_pairs()
+    env = {"PYTHONDONTWRITEBYTECODE": "1", "MALLOC_TRIM_THRESHOLD_": "131072", "HOME": "/h"}
+    assert bp.runner_env(env) == {"PYTHONDONTWRITEBYTECODE": "1",
+                                  "MALLOC_TRIM_THRESHOLD_": "131072",
+                                  "MALLOC_MMAP_THRESHOLD_": None}
