@@ -9,7 +9,6 @@ and genuine crossings are reported as Incomparable with witness indices.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -26,8 +25,8 @@ from .sphere_grid import (DiscreteDistribution, owned_read_only, read_only_setst
 # built-in state comparisons (~1.6e-2).
 DEFAULT_TOL = 1e-3
 
-# LorenzCurve checks S_k, and compare differences two curves, in windows of this
-# many values, so their temporaries stay in cache whatever N is.
+# LorenzCurve checks S_k, and compare reads S(a) - S(b), in chunks of at most this
+# many values (or one longer segment), so their temporaries stay in cache whatever N is.
 _BLOCK = 1 << 15
 
 # summary_relations reads each curve at ceil(_SUMMARY_SCALE / tol) indices: segments
@@ -93,15 +92,15 @@ def _check_run_ends(ends: np.ndarray) -> None:
         raise ValueError(f"S_N must equal 1, got {ends[-1]!r}")
 
 
-# eq=False: it holds arrays, so it compares and hashes by identity.  init=False: the
-# two forms are built by __init__ (dense) and _from_runs (runs)
+# eq=False: it holds arrays, so it compares and hashes by identity.  init=False: its
+# forms are built by __init__ and _from_dense (dense) and _from_runs (runs)
 @dataclass(frozen=True, eq=False, init=False)
 class LorenzCurve:
     """Ordered partial sums S_k, k = 1..N: cumulative sums of p sorted descending.
 
-    A dense curve, `LorenzCurve(s, run)`, holds every S_k.  `run` says that S is
-    linear over each run of `run` consecutive k; only the run ends S_run, S_2run,
-    ..., S_N are checked then.  With the default run = 1 every S_k is checked.
+    A dense curve, `LorenzCurve(s)`, holds every S_k, and every S_k is checked.
+    `run` says that S is linear over each run of `run` consecutive k: 1 for a dense
+    curve, the distribution's repeat for a curve `lorenz` builds from a repeated one.
 
     A run curve, which `lorenz` builds from a repeated distribution that has not
     built its dense partial sums, holds only the sorted band values and the run
@@ -117,15 +116,20 @@ class LorenzCurve:
     _s: Optional[np.ndarray]                          # a dense curve's S_k
     _runs: Optional[tuple[np.ndarray, np.ndarray]]    # a run curve's (desc, ends)
 
-    def __init__(self, s, run: int = 1):
+    def __init__(self, s):
         s = owned_read_only(s)
         if s.ndim != 1 or s.size < 1:
             raise ValueError("S_k must be a nonempty 1-d array")
-        if (isinstance(run, bool) or not isinstance(run, numbers.Integral) or run < 1
-                or s.size % run):
-            raise ValueError(f"run must be a positive integer dividing N = {s.size}, got {run!r}")
+        self.__dict__.update(vars(self._from_dense(s, 1)))
+
+    @classmethod
+    def _from_dense(cls, s: np.ndarray, run: int) -> "LorenzCurve":
+        """The dense curve over a distribution's read-only `descending_cumsum`, checked
+        at its run ends: `run_partial_sums` fills it nondecreasing inside each run."""
         _check_run_ends(s[run - 1::run])
-        self.__dict__.update(run=int(run), n=s.size, _s=s, _runs=None)
+        curve = object.__new__(cls)
+        curve.__dict__.update(run=run, n=s.size, _s=s, _runs=None)
+        return curve
 
     @classmethod
     def _from_runs(cls, desc: np.ndarray, ends: np.ndarray, run: int) -> "LorenzCurve":
@@ -173,20 +177,14 @@ class LorenzCurve:
         j, i = np.divmod(k, self.run)
         return run_values(*self._runs, j, i + 1.0)
 
-    def _run_ends(self, run: int) -> Optional[np.ndarray]:
-        """S at the ends of runs of `run` pixels, when S is known to be nondecreasing
-        inside each such run: a run curve's own runs, or every run of a dense curve
-        whose every S_k is checked.  None otherwise."""
-        if self._runs is not None:
-            return self._runs[1] / self._runs[1][-1] if run == self.run else None
-        return self._s[run - 1::run] if self.run == 1 else None
-
-    def _run_values(self, runs: np.ndarray, run: int) -> np.ndarray:
-        """S over the whole runs of `run` pixels with the ascending indices `runs`,
-        one row per run, in a fresh array."""
-        if self._runs is not None:
-            return run_partial_sums(*self._runs, run, runs).reshape(runs.size, run)
-        return self._s.reshape(-1, run)[runs]
+    def _segments(self, segments: np.ndarray, length: int) -> np.ndarray:
+        """S over the whole segments of `length` pixels, a multiple of `run`, with the
+        ascending indices `segments`, one row per segment, in a fresh array."""
+        if self._runs is None:
+            return self._s.reshape(-1, length)[segments]
+        per = length // self.run
+        runs = (segments[:, None] * per + np.arange(per)).ravel()
+        return run_partial_sums(*self._runs, self.run, runs).reshape(segments.size, length)
 
 
 def lorenz(dist: DiscreteDistribution) -> LorenzCurve:
@@ -198,7 +196,7 @@ def lorenz(dist: DiscreteDistribution) -> LorenzCurve:
     # and rebuilt on every read of .s: perfbench fine-grid, which reads K(alpha)
     # before the curve, lost 6 % of its throughput to that in paired runs
     if dist.repeat == 1 or dist.holds_descending_cumsum:
-        return LorenzCurve(s=dist.descending_cumsum, run=dist.repeat)
+        return LorenzCurve._from_dense(dist.descending_cumsum, dist.repeat)
     return LorenzCurve._from_runs(*sorted_runs(dist.values, dist.repeat), dist.repeat)
 
 
@@ -218,29 +216,28 @@ def _segment_bounds(ends_a: np.ndarray, ends_b: np.ndarray):
 
 
 def _differences(a: LorenzCurve, b: LorenzCurve):
-    """S(a) - S(b) in index order, in chunks of at most _BLOCK values, each as
-    (d, firsts, width): row r of d holds `width` consecutive values from 0-based
-    k = firsts[r] on (a window is one row).
+    """S(a) - S(b) in index order over the segments that can hold an extreme, in chunks
+    of at most _BLOCK values (or one segment), each as (d, firsts, width): row r of d
+    holds `width` consecutive values from 0-based k = firsts[r] on.
 
-    When one curve is a run curve and the other is nondecreasing inside each of its
-    runs, only the runs that can hold an extreme are read: every d_k of a run lies in
-    its `_segment_bounds`, so a run whose upper bound stays below the largest run-end
-    difference cannot hold the maximum, nor can one whose lower bound stays above the
-    smallest hold the minimum.  Otherwise every window is read."""
-    run = max(a.run, b.run)
-    ends_a, ends_b = a._run_ends(run), b._run_ends(run)
-    if run == 1 or ends_a is None or ends_b is None:
-        for start in range(0, a.n, _BLOCK):
-            yield a[start:start + _BLOCK] - b[start:start + _BLOCK], (start,), _BLOCK
-        return
-    at_ends, lo, hi = _segment_bounds(ends_a, ends_b)
+    Segments are R = lcm(a.run, b.run) values long, or, when that is 1, the largest
+    divisor of N up to sqrt(N), which balances the N / R end values against the R
+    values of each segment read.  Both curves are nondecreasing inside each, so every
+    d_k of a segment lies in its `_segment_bounds`: one whose upper bound stays below
+    the largest segment-end difference cannot hold the maximum, nor one whose lower
+    bound stays above the smallest the minimum."""
+    r = math.lcm(a.run, b.run)
+    if r == 1:
+        r = next(d for d in range(math.isqrt(a.n), 0, -1) if a.n % d == 0)
+    ends = np.arange(r - 1, a.n, r)
+    at_ends, lo, hi = _segment_bounds(a.at(ends), b.at(ends))
     candidates = np.flatnonzero((hi >= at_ends.max()) | (lo <= at_ends.min()))
-    step = max(1, _BLOCK // run)
+    step = max(1, _BLOCK // r)
     for start in range(0, candidates.size, step):
-        runs = candidates[start:start + step]
-        d = a._run_values(runs, run)            # a fresh array either way
-        d -= b._run_values(runs, run)
-        yield d, runs * run, run
+        segments = candidates[start:start + step]
+        d = a._segments(segments, r)            # a fresh array either way
+        d -= b._segments(segments, r)
+        yield d, segments * r, r
 
 
 # the relation from (max S(a) - S(b) <= tol, min S(a) - S(b) >= -tol)

@@ -171,7 +171,13 @@ class TestLorenz:
     def test_run_built_curves_pass_every_pixel_check(self, w, repeat):
         # what a run-end check skips inside a run cannot fail on a curve polmaj builds
         d = DiscreteDistribution.from_weights(np.asarray(w, dtype=float), repeat=repeat)
-        LorenzCurve(s=d.descending_cumsum, run=1)
+        LorenzCurve(s=d.descending_cumsum)
+
+    def test_init_takes_no_run(self):
+        # a caller-built curve is dense and checked at every k
+        with pytest.raises(TypeError):
+            LorenzCurve(s=self.straight(6), run=3)
+        assert LorenzCurve(s=self.straight(6)).run == 1
 
     def test_lorenz_passes_the_run_length(self):
         assert lorenz(dist(0.2, 0.5, 0.3)).run == 1
@@ -202,20 +208,10 @@ class TestLorenz:
             s *= 1.0 - 1e-9
         else:
             s[k] = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}[what]
-        expected = self.whole_curve_fault(s)      # the message of the run = 1 check
+        expected = self.whole_curve_fault(s)      # the message of the every-k check
         assert expected is not None
         with pytest.raises(ValueError, match=expected):
-            LorenzCurve(s=s, run=run)
-
-    @pytest.mark.parametrize("run", [0, -1, True, 2.5, 4, np.float64(2.0)])
-    def test_rejects_a_bad_run(self, run):
-        # N = 6: 4 does not divide it
-        with pytest.raises(ValueError, match="run must be a positive integer dividing N = 6"):
-            LorenzCurve(s=self.straight(6), run=run)
-
-    def test_run_is_kept_as_an_int(self):
-        curve = LorenzCurve(s=self.straight(6), run=np.int64(3))
-        assert type(curve.run) is int and curve.run == 3
+            LorenzCurve._from_dense(s, run)
 
     @pytest.mark.parametrize("at", [-1, 0, 1, 2])
     def test_run_end_checks_carry_across_blocks(self, at):
@@ -223,17 +219,17 @@ class TestLorenz:
         # strided view of the run ends
         run = 3
         s, ends = self.straight_runs(run, 2 * majmod._BLOCK + 5)
-        LorenzCurve(s=s, run=run)
+        LorenzCurve._from_dense(s, run)
         k, before = ends[majmod._BLOCK + at], ends[majmod._BLOCK + at - 1]
         s[k] = s[before]                                  # a zero increment, then a double one
         with pytest.raises(ValueError, match="increments must be nonincreasing"):
-            LorenzCurve(s=s, run=run)
+            LorenzCurve._from_dense(s, run)
         s[k] = s[before] - 1e-9
         with pytest.raises(ValueError, match="S_k must be nondecreasing"):
-            LorenzCurve(s=s, run=run)
+            LorenzCurve._from_dense(s, run)
         s[k] = math.nan
         with pytest.raises(ValueError, match="S_k must be nondecreasing"):
-            LorenzCurve(s=s, run=run)
+            LorenzCurve._from_dense(s, run)
 
 
 class TestCompare:
@@ -325,17 +321,36 @@ def whole_array_verdict(a, b, tol):
     return Relation.INCOMPARABLE, (int(d.argmax()) + 1, int(d.argmin()) + 1)
 
 
-class TestWindowedCompare:
-    """compare reads S(a) - S(b) in windows of _BLOCK values; the verdict and the
-    first-occurrence witnesses must be those of the whole difference."""
+FIGURE_SPECS = sorted({spec for specs in FIGURES.values() for spec in specs})
+
+
+def assert_whole_array_verdicts(a, b):
+    """compare matches the whole difference in both argument orders, at tol 0 and 1e-3."""
+    for tol in (0.0, 1e-3):
+        for x, y in ((a, b), (b, a)):
+            v = compare(x, y, tol)
+            assert (v.relation, v.witnesses) == whole_array_verdict(x, y, tol)
+
+
+def curve_at(spec, grid):
+    return lorenz(discretize_state(parse_state_spec(spec).obj, grid))
+
+
+class TestBoundedCompare:
+    """compare reads S(a) - S(b) at the ends of segments over which both curves are
+    nondecreasing, then only the segments that can hold an extreme, in chunks of at
+    most _BLOCK values; the verdict and the first-occurrence witnesses must be those
+    of the whole difference."""
 
     # S_a - S_b = (1, 0, -1, -1, -1, 0, 0, 0) / 8: the minimum ties at k = 3, 4, 5
     A = (3, 1, 1, 1, 1, 1, 0, 0)
     B = (2, 2, 2, 1, 1, 0, 0, 0)
 
     @pytest.mark.parametrize("block", [1, 2, 3, 4, 8, 16])
-    def test_ties_across_a_window_edge_keep_the_first(self, block, monkeypatch):
-        # windows of 2, 3 and 4 put an edge inside the tie; 3 ends a window on k = 3
+    def test_ties_across_a_chunk_edge_keep_the_first(self, block, monkeypatch):
+        # N = 8 is read in segments of 2 values, every one a candidate, and the tie
+        # spans segments 2 and 3 (1-based): chunks of one or two segments (blocks 1 to
+        # 4) put an edge inside it
         a, b = lorenz(dist_from_ints(self.A)), lorenz(dist_from_ints(self.B))
         monkeypatch.setattr(majmod, "_BLOCK", block)
         assert compare(a, b, 0.01) == Verdict(Relation.INCOMPARABLE, (1, 3))
@@ -356,9 +371,8 @@ class TestWindowedCompare:
             v = compare(a, b, tol)
         assert (v.relation, v.witnesses) == whole_array_verdict(a, b, tol)
 
-    def test_matches_whole_difference_over_full_windows(self):
-        # 80,000 values: two full windows of 32,768 and a short one; at tol 0 the
-        # witnesses fall in the first two windows and the last value
+    def test_matches_whole_difference_over_full_chunks(self):
+        # 80,000 values: 200 segments of 400, read in chunks of 81 segments
         spec = GridSpec(200, 400)
         curves = [lorenz(discretize_state(random_pure(n, seed=1), spec)) for n in (3, 5, 7)]
         for a in curves:
@@ -366,27 +380,6 @@ class TestWindowedCompare:
                 for tol in (0.0, 1e-3):
                     v = compare(a, b, tol)
                     assert (v.relation, v.witnesses) == whole_array_verdict(a, b, tol)
-
-
-FIGURE_SPECS = sorted({spec for specs in FIGURES.values() for spec in specs})
-
-
-def assert_whole_array_verdicts(a, b):
-    """compare matches the whole difference in both argument orders, at tol 0 and 1e-3."""
-    for tol in (0.0, 1e-3):
-        for x, y in ((a, b), (b, a)):
-            v = compare(x, y, tol)
-            assert (v.relation, v.witnesses) == whole_array_verdict(x, y, tol)
-
-
-def curve_at(spec, grid):
-    return lorenz(discretize_state(parse_state_spec(spec).obj, grid))
-
-
-class TestBoundedCompare:
-    """Against a run curve, compare reads S(a) - S(b) at the run ends and then only
-    the runs that can hold an extreme; the verdict and the first-occurrence
-    witnesses must be those of the whole difference."""
 
     @pytest.mark.parametrize("grid", [GridSpec(7, 13), GridSpec(400, 400)], ids=["7x13", "400^2"])
     def test_figure_states_against_phi_independent_ones(self, grid):
@@ -397,7 +390,17 @@ class TestBoundedCompare:
             for other in FIGURE_SPECS:
                 assert_whole_array_verdicts(curves[spec], curves[other])
 
-    @pytest.mark.parametrize("figure", ["fig5", "fig8"])
+    @pytest.mark.parametrize("grid", [GridSpec(7, 13), GridSpec(400, 400)], ids=["7x13", "400^2"])
+    def test_dense_figure_pairs(self, grid):
+        # both run lengths 1: segments of 7 values at 7x13 and of 400 at 400^2
+        curves = [curve_at(spec, grid) for spec in FIGURE_SPECS]
+        dense = [c for c in curves if c.run == 1]
+        assert len(dense) == len(FIGURE_SPECS) - 9
+        for i, a in enumerate(dense):
+            for b in dense[i:]:
+                assert_whole_array_verdicts(a, b)
+
+    @pytest.mark.parametrize("figure", sorted(FIGURES))
     def test_figure_pairs_at_800(self, figure):
         curves = [curve_at(spec, GridSpec(800, 800)) for spec in FIGURES[figure]]
         for i, a in enumerate(curves):
@@ -406,11 +409,16 @@ class TestBoundedCompare:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_haar_samples(self, n):
+        # against the coherent run curve, and the dense hs curve where it exists (n <= 5)
         grid = GridSpec(400, 400)
-        coherent = lorenz(discretize_state(make_coherent(n), grid))
+        refs = [lorenz(discretize_state(make_coherent(n), grid))]
+        if n <= 5:
+            refs.append(curve_at(f"hs:n={n}", grid))
+        assert [c.run for c in refs] == [400, 1][:len(refs)]
         for seed in range(3):
             sample = lorenz(discretize_state(random_pure(n, seed), grid))
-            assert_whole_array_verdicts(coherent, sample)
+            for ref in refs:
+                assert_whole_array_verdicts(ref, sample)
 
     def test_rotated_coherent_state_equals_the_pole_one(self):
         grid = GridSpec(400, 400)
@@ -421,29 +429,20 @@ class TestBoundedCompare:
         assert compare(pole, rotated) == Verdict(Relation.EQUAL)
         assert_whole_array_verdicts(pole, rotated)
 
-    def test_caller_built_dense_curve_with_runs(self):
-        # checked only at its run ends, so compare reads every window of it
-        grid = GridSpec(400, 400)
-        d = discretize_state(make_coherent(3), grid)
-        dense = LorenzCurve(s=d.descending_cumsum, run=d.repeat)
-        for other in (curve_at("coherent:n=3", grid), curve_at("phase:n=3", grid),
-                      curve_at("thermal:nbar=10", grid)):
-            assert_whole_array_verdicts(dense, other)
-
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_matches_whole_difference_for_every_curve_form(self, data):
         # N = 12 in runs of 1..12 pixels: run curves with equal and unequal run lengths,
-        # dense curves, and caller-built dense curves checked at their run ends only
+        # and dense curves
         def curve():
             repeat = data.draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
             w = data.draw(st.lists(st.integers(0, 4), min_size=12 // repeat,
                                    max_size=12 // repeat).filter(lambda w: sum(w) > 0))
             d = DiscreteDistribution.from_weights(np.asarray(w, dtype=float), repeat=repeat)
-            form = data.draw(st.sampled_from(["lorenz", "dense", "dense-runs"]))
+            form = data.draw(st.sampled_from(["lorenz", "dense"]))
             if form == "lorenz":
                 return lorenz(d)
-            return LorenzCurve(s=d.descending_cumsum, run=repeat if form == "dense-runs" else 1)
+            return LorenzCurve(s=d.descending_cumsum)
 
         a, b = curve(), curve()
         tol = data.draw(st.sampled_from([0.0, 1e-12, 0.05]))
@@ -453,20 +452,58 @@ class TestBoundedCompare:
             v = compare(a, b, tol)
         assert (v.relation, v.witnesses) == whole_array_verdict(a, b, tol)
 
+    @staticmethod
+    def segments_read(a, b, monkeypatch):
+        """compare(a, b)'s relation, and the number of segments it reads of each curve."""
+        read = []
+        segments = LorenzCurve._segments
+
+        def spy(curve, rows, length):
+            read.append(rows.size)
+            return segments(curve, rows, length)
+
+        monkeypatch.setattr(LorenzCurve, "_segments", spy)
+        return compare(a, b).relation, sum(read) / 2
+
+    @pytest.mark.parametrize("n, runs, length", [
+        (12, (1, 1), 3), (16, (1, 1), 4), (13, (1, 1), 1), (12, (4, 1), 4),
+        (12, (2, 3), 6), (12, (4, 6), 12), (12, (3, 3), 3),
+    ])
+    def test_segment_length(self, n, runs, length, monkeypatch):
+        # lcm of the run lengths, or, for two dense curves, N's largest divisor up to sqrt(N)
+        rng = np.random.default_rng(n)
+        a, b = (lorenz(DiscreteDistribution.from_weights(rng.random(n // r) + 0.1, repeat=r))
+                for r in runs)
+        assert (a.run, b.run) == runs
+        lengths = set()
+        segments = LorenzCurve._segments
+
+        def spy(curve, rows, length):
+            lengths.add(length)
+            return segments(curve, rows, length)
+
+        monkeypatch.setattr(LorenzCurve, "_segments", spy)
+        compare(a, b)
+        assert lengths == {length}
+
     def test_reads_only_the_runs_that_can_hold_an_extreme(self, monkeypatch):
         grid = GridSpec(400, 400)
         coherent = lorenz(discretize_state(make_coherent(5), grid))
         sample = lorenz(discretize_state(random_pure(5, seed=1), grid))
-        read = []
-        run_values = LorenzCurve._run_values
+        relation, read = self.segments_read(coherent, sample, monkeypatch)
+        assert relation is Relation.MAJORIZES
+        assert 0 < read <= 40                 # a tenth of the 400 runs at most
 
-        def spy(curve, runs, run):
-            read.append(runs.size)
-            return run_values(curve, runs, run)
-
-        monkeypatch.setattr(LorenzCurve, "_run_values", spy)
-        assert compare(coherent, sample).relation is Relation.MAJORIZES
-        assert 0 < sum(read) <= 2 * 40        # a tenth of the 400 runs at most, on each curve
+    def test_dense_pair_reads_a_fraction_of_its_segments(self, monkeypatch):
+        # 48 of 400 segments of 400 values: 40 about the minimum, which is flat to
+        # within a segment's rise there, and 8 at the two ends, near the maximum, 0
+        grid = GridSpec(400, 400)
+        hs = curve_at("hs:n=4", grid)
+        sample = lorenz(discretize_state(random_pure(4, seed=1), grid))
+        assert (hs.run, sample.run) == (1, 1)
+        relation, read = self.segments_read(hs, sample, monkeypatch)
+        assert relation is Relation.MAJORIZED_BY
+        assert 0 < read <= 400 / 5
 
 
 class TestRunCurve:
@@ -636,10 +673,16 @@ class TestSummaryRelations:
 class TestStageMemory:
     def test_traced_peaks_at_800(self):
         # Q in one (T, P) array plus a band block of the complex product, weighted and
-        # normalized in place; the curve in one array; the difference in windows
+        # normalized in place; the curve in one array; the difference in chunks of
+        # segments, against a run curve, a dense curve, and a run curve Equal to it
+        # everywhere, where every segment is read
         spec = GridSpec(800, 800)
         ref = lorenz(discretize_state(make_coherent(4), spec))
+        noon = curve_at("noon:n=4", spec)
+        rotated = lorenz(discretize_state(apply_su2(make_coherent(4), EulerRotation(0.7, 1.1, -2.0)),
+                                          spec))
         n_bytes = 8 * spec.n_pixels
+        compared = {}
         tracemalloc.start()
         try:
             d = discretize_state(make_phase(4), spec)
@@ -648,15 +691,19 @@ class TestStageMemory:
             held = tracemalloc.get_traced_memory()[0]
             c = lorenz(d)
             curve = tracemalloc.get_traced_memory()[1] - held
-            tracemalloc.reset_peak()
-            held = tracemalloc.get_traced_memory()[0]
-            compare(c, ref)
-            compared = tracemalloc.get_traced_memory()[1] - held
+            for name, (x, y) in {"run": (c, ref), "dense": (c, noon),
+                                 "equal": (rotated, ref)}.items():
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                compare(x, y)
+                compared[name] = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
         assert discretized <= 2.1 * n_bytes
         assert curve <= 1.15 * n_bytes
-        assert compared <= 0.2 * n_bytes
+        assert compare(rotated, ref) == Verdict(Relation.EQUAL)
+        for name, peak in compared.items():
+            assert peak <= 0.2 * n_bytes, name
 
 
 class TestTTransform:
